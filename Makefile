@@ -18,14 +18,16 @@ lint:
 test:
 	$(GO) build ./...
 	$(GO) test ./...
+	cd e2ebench && $(GO) test .
 
 race:
 	$(GO) test -race ./...
 
-# One iteration of the batch/delta/planner benchmarks: compile-and-run
-# smoke plus their embedded equivalence guards.
+# One iteration of the batch, delta, planner, IVM and session benchmarks:
+# compile-and-run smoke plus their embedded equivalence guards.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'Batch|PreparedDiff|Planner' -benchtime 1x ./internal/engine/...
+	$(GO) test -run '^$$' -bench 'Batch|PreparedDiff|Planner|ApplyDelta' -benchtime 1x ./internal/engine/...
+	$(GO) test -run '^$$' -bench 'Session' -benchtime 1x ./internal/core/...
 
 fmt:
 	gofmt -w .

@@ -17,7 +17,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/course"
-	"repro/internal/eval"
+	"repro/internal/engine"
 	"repro/internal/minones"
 	"repro/internal/ra"
 	"repro/internal/sat"
@@ -187,7 +187,7 @@ func BenchmarkFigure4_Components(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("size=%d/prov-all", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.EvalProv(diffQ, w.db, nil); err != nil {
+				if _, err := engine.EvalProv(diffQ, w.db, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

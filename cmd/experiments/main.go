@@ -27,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/course"
 	"repro/internal/engine"
-	"repro/internal/eval"
 	"repro/internal/mutation"
 	"repro/internal/pool"
 	"repro/internal/ra"
@@ -287,8 +286,8 @@ func fig4(sizes []int, perQuestion, sample int) {
 			raw += time.Since(t0)
 			// prov-all: provenance of the full difference, both directions.
 			t0 = time.Now()
-			_, _ = eval.EvalProv(&ra.Diff{L: w.q1, R: w.q2}, db, nil)
-			_, _ = eval.EvalProv(&ra.Diff{L: w.q2, R: w.q1}, db, nil)
+			_, _ = engine.EvalProv(&ra.Diff{L: w.q1, R: w.q2}, db, nil)
+			_, _ = engine.EvalProv(&ra.Diff{L: w.q2, R: w.q1}, db, nil)
 			provAll += time.Since(t0)
 			// The remaining components come out of instrumented runs.
 			_, sB, err := core.Basic(p, 128)

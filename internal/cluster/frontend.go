@@ -359,9 +359,11 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	switch {
 	case res.outcome == outcomeFinal:
 		f.serve(w, res, path, payload, tenant, reqID, attempts, start)
-	case ctx.Err() != nil:
-		// The budget ran out mid-failover: same structured outcome as a
-		// worker-side budget expiry, so clients see one shape either way.
+	case ctx.Err() != nil || !time.Now().Before(deadlineOf(ctx)):
+		// The budget ran out mid-failover (its deadline passed, whether or
+		// not the context's timer has fired yet): same structured outcome
+		// as a worker-side budget expiry, so clients see one shape either
+		// way.
 		f.budgetLocal.Add(1)
 		f.refuse(w, payload, path, tenant, reqID, http.StatusOK, server.StatusBudgetExceeded, 0,
 			fmt.Sprintf("request budget elapsed after %d attempt(s): %v", attempts, res.err), start)
@@ -506,6 +508,13 @@ func (f *Frontend) forward(ctx context.Context, order []int, path string, payloa
 			return last, attempts
 		}
 	}
+}
+
+// deadlineOf returns a request context's deadline (every request context
+// carries one).
+func deadlineOf(ctx context.Context) time.Time {
+	d, _ := ctx.Deadline()
+	return d
 }
 
 // perTry derives one attempt's deadline from the remaining budget,

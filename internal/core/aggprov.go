@@ -1,19 +1,20 @@
-package eval
+package core
 
 import (
 	"fmt"
 
 	"repro/internal/boolexpr"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/smt"
 )
 
-// AggGroup is the symbolic provenance of one output group of an aggregate
+// aggGroup is the symbolic provenance of one output group of an aggregate
 // query (one row of Table 2 in the paper): an existence expression over the
 // base tuple variables, symbolic aggregate values, and the symbolic HAVING
 // condition for this group.
-type AggGroup struct {
+type aggGroup struct {
 	// Key holds the group-by column values.
 	Key relation.Tuple
 	// Exists is the disjunction of the member tuples' how-provenance: the
@@ -28,54 +29,44 @@ type AggGroup struct {
 	Size int
 }
 
-// Presence returns the full symbolic condition for the group to appear in
+// presence returns the full symbolic condition for the group to appear in
 // the query result: existence ∧ having.
-func (g *AggGroup) Presence() smt.Formula {
+func (g *aggGroup) presence() smt.Formula {
 	return smt.And(&smt.FProv{E: g.Exists}, g.Having)
 }
 
-// OutCol describes one output column of an aggregate query: either a
+// outCol describes one output column of an aggregate query: either a
 // group-by column (Idx into Key) or an aggregate (Idx into Aggs).
-type OutCol struct {
+type outCol struct {
 	IsAgg bool
 	Idx   int
 }
 
-// AggProvResult is the aggregate-provenance annotation of a query of the
+// aggProvResult is the aggregate-provenance annotation of a query of the
 // shape π? σ*(HAVING) γ(Q') (Section 5.2).
-type AggProvResult struct {
+type aggProvResult struct {
 	Spec    ra.TopAggregate
-	Groups  []*AggGroup
-	OutCols []OutCol
+	Groups  []*aggGroup
+	OutCols []outCol
 
-	byKey map[string]*AggGroup
+	byKey map[string]*aggGroup
 }
 
-// GroupByKey finds the group with the given key tuple, or nil.
-func (r *AggProvResult) GroupByKey(key relation.Tuple) *AggGroup {
+// groupByKey finds the group with the given key tuple, or nil.
+func (r *aggProvResult) groupByKey(key relation.Tuple) *aggGroup {
 	return r.byKey[key.Key()]
 }
 
-// GroupKeyCols returns the indices of the output columns that are group-by
-// columns (non-aggregates), in output order.
-func (r *AggProvResult) GroupKeyCols() []OutCol {
-	var out []OutCol
-	for _, c := range r.OutCols {
-		if !c.IsAgg {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// EvalAggProv computes aggregate provenance for a query of the supported
-// shape. The query must match ra.MatchTopAggregate.
-func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Value) (*AggProvResult, error) {
+// evalAggProv computes aggregate provenance (Section 5.2) for a query of the
+// shape π? σ*(HAVING) γ(Q'), which must match ra.MatchTopAggregate: the
+// how-provenance of Q' under opts' budget, grouped into symbolic aggregate
+// values with guarded terms.
+func evalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Value, opts engine.Options) (*aggProvResult, error) {
 	spec, ok := ra.MatchTopAggregate(q)
 	if !ok {
-		return nil, fmt.Errorf("eval: query shape unsupported for aggregate provenance (want π? σ* γ(Q')): %s", q)
+		return nil, fmt.Errorf("core: query shape unsupported for aggregate provenance (want π? σ* γ(Q')): %s", q)
 	}
-	ann, err := EvalProv(spec.Inner, db, params)
+	ann, err := engine.EvalProvOpts(spec.Inner, db, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +83,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	for i, a := range g.Aggs {
 		if a.Attr == "" {
 			if a.Func != ra.Count {
-				return nil, fmt.Errorf("eval: %s requires an attribute", a.Func)
+				return nil, fmt.Errorf("core: %s requires an attribute", a.Func)
 			}
 			aIdx[i] = -1
 			continue
@@ -105,7 +96,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	}
 
 	// Group the annotated tuples.
-	res := &AggProvResult{Spec: spec, byKey: map[string]*AggGroup{}}
+	res := &aggProvResult{Spec: spec, byKey: map[string]*aggGroup{}}
 	var order []string
 	members := map[string][]int{}
 	keys := map[string]relation.Tuple{}
@@ -120,20 +111,20 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	}
 
 	// Group-by output schema, used to translate HAVING predicates.
-	gbSchema, err := ra.OutSchema(g, Catalog{DB: db})
+	gbSchema, err := ra.OutSchema(g, engine.Catalog{DB: db})
 	if err != nil {
 		return nil, err
 	}
 
 	for _, ks := range order {
-		grp := &AggGroup{Key: keys[ks], Size: len(members[ks])}
+		grp := &aggGroup{Key: keys[ks], Size: len(members[ks])}
 		var exists []*boolexpr.Expr
 		grp.Aggs = make([]*smt.AggValue, len(g.Aggs))
 		for ai := range g.Aggs {
 			grp.Aggs[ai] = &smt.AggValue{Func: g.Aggs[ai].Func}
 		}
 		for _, mi := range members[ks] {
-			prov := ann.Provs[mi]
+			prov := ann.Anns[mi]
 			t := ann.Tuples[mi]
 			exists = append(exists, prov)
 			for ai := range g.Aggs {
@@ -149,7 +140,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 						v = 1 // COUNT(attr): each non-NULL value counts 1
 					} else {
 						if !val.IsNumeric() {
-							return nil, fmt.Errorf("eval: aggregate %s over non-numeric value %v", g.Aggs[ai].Func, val)
+							return nil, fmt.Errorf("core: aggregate %s over non-numeric value %v", g.Aggs[ai].Func, val)
 						}
 						v = val.AsFloat()
 					}
@@ -176,10 +167,10 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 	// Output columns: projection over the group-by output, or all of it.
 	if spec.Proj == nil {
 		for i := range g.GroupCols {
-			res.OutCols = append(res.OutCols, OutCol{IsAgg: false, Idx: i})
+			res.OutCols = append(res.OutCols, outCol{IsAgg: false, Idx: i})
 		}
 		for i := range g.Aggs {
-			res.OutCols = append(res.OutCols, OutCol{IsAgg: true, Idx: i})
+			res.OutCols = append(res.OutCols, outCol{IsAgg: true, Idx: i})
 		}
 	} else {
 		for _, c := range spec.Proj.Cols {
@@ -188,9 +179,9 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 				return nil, err
 			}
 			if j < len(g.GroupCols) {
-				res.OutCols = append(res.OutCols, OutCol{IsAgg: false, Idx: j})
+				res.OutCols = append(res.OutCols, outCol{IsAgg: false, Idx: j})
 			} else {
-				res.OutCols = append(res.OutCols, OutCol{IsAgg: true, Idx: j - len(g.GroupCols)})
+				res.OutCols = append(res.OutCols, outCol{IsAgg: true, Idx: j - len(g.GroupCols)})
 			}
 		}
 	}
@@ -201,7 +192,7 @@ func EvalAggProv(q ra.Node, db *relation.Database, params map[string]relation.Va
 // schema into a symbolic smt formula for a specific group: group-column
 // references become constants, aggregate-column references become symbolic
 // aggregate operands.
-func translateHaving(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *AggGroup, params map[string]relation.Value) (smt.Formula, error) {
+func translateHaving(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *aggGroup, params map[string]relation.Value) (smt.Formula, error) {
 	switch x := e.(type) {
 	case *ra.And:
 		out := smt.Formula(&smt.FConst{Val: true})
@@ -240,14 +231,14 @@ func translateHaving(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *Ag
 		}
 		return &smt.FCmp{Op: x.Op, L: l, R: r}, nil
 	}
-	return nil, fmt.Errorf("eval: unsupported HAVING predicate %s", e)
+	return nil, fmt.Errorf("core: unsupported HAVING predicate %s", e)
 }
 
-func translateOperand(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *AggGroup, params map[string]relation.Value) (smt.Operand, error) {
+func translateOperand(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *aggGroup, params map[string]relation.Value) (smt.Operand, error) {
 	switch x := e.(type) {
 	case *ra.Const:
 		if !x.Val.IsNumeric() {
-			return smt.Operand{}, fmt.Errorf("eval: non-numeric constant %v in HAVING", x.Val)
+			return smt.Operand{}, fmt.Errorf("core: non-numeric constant %v in HAVING", x.Val)
 		}
 		return smt.ConstOp(x.Val.AsFloat()), nil
 	case *ra.Param:
@@ -266,11 +257,11 @@ func translateOperand(e ra.Expr, gbSchema relation.Schema, g *ra.GroupBy, grp *A
 		if j < len(g.GroupCols) {
 			v := grp.Key[j]
 			if !v.IsNumeric() {
-				return smt.Operand{}, fmt.Errorf("eval: non-numeric group column %s in HAVING comparison", x.Name)
+				return smt.Operand{}, fmt.Errorf("core: non-numeric group column %s in HAVING comparison", x.Name)
 			}
 			return smt.ConstOp(v.AsFloat()), nil
 		}
 		return smt.AggOp(grp.Aggs[j-len(g.GroupCols)]), nil
 	}
-	return smt.Operand{}, fmt.Errorf("eval: unsupported HAVING operand %s", e)
+	return smt.Operand{}, fmt.Errorf("core: unsupported HAVING operand %s", e)
 }

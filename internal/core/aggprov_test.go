@@ -1,25 +1,37 @@
-package eval
+package core
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/boolexpr"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/smt"
 	"repro/internal/testdb"
 )
 
+// assignIDs builds an assignment where exactly the listed tuple ids are
+// present.
+func assignIDs(ids ...int) func(int) bool {
+	set := map[int]bool{}
+	for _, id := range ids {
+		set[id] = true
+	}
+	return func(id int) bool { return set[id] }
+}
+
 func TestAggProvExample4Structure(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	res, err := evalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Groups) != 3 {
 		t.Fatalf("groups = %d", len(res.Groups))
 	}
-	mary := res.GroupByKey(relation.NewTuple(relation.String("Mary")))
+	mary := res.groupByKey(relation.NewTuple(relation.String("Mary")))
 	if mary == nil {
 		t.Fatal("Mary group missing")
 	}
@@ -49,11 +61,11 @@ func TestAggProvExample4Structure(t *testing.T) {
 
 func TestAggProvExistence(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	res, err := evalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mary := res.GroupByKey(relation.NewTuple(relation.String("Mary")))
+	mary := res.groupByKey(relation.NewTuple(relation.String("Mary")))
 	if mary == nil {
 		t.Fatal("Mary group missing")
 	}
@@ -82,46 +94,46 @@ func TestAggProvExistence(t *testing.T) {
 
 func TestAggProvHavingTranslation(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.HavingQ2(), db, nil)
+	res, err := evalAggProv(testdb.HavingQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mary := res.GroupByKey(relation.NewTuple(relation.String("Mary")))
+	mary := res.groupByKey(relation.NewTuple(relation.String("Mary")))
 	if mary == nil {
 		t.Fatal("Mary group missing")
 	}
 	// HAVING cnt >= 3: with all three registrations present it passes;
 	// with only two it fails.
 	all := func(int) bool { return true }
-	if !smt.EvalFormula(mary.Presence(), all, nil) {
+	if !smt.EvalFormula(mary.presence(), all, nil) {
 		t.Error("Mary should pass HAVING with all tuples")
 	}
 	no6 := func(id int) bool { return id != 6 }
-	if smt.EvalFormula(mary.Presence(), no6, nil) {
+	if smt.EvalFormula(mary.presence(), no6, nil) {
 		t.Error("Mary should fail HAVING with 2 courses")
 	}
 }
 
 func TestAggProvParamStaysSymbolic(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.ParamQ2(), db, nil) // no binding for @numCS
+	res, err := evalAggProv(testdb.ParamQ2(), db, nil, engine.Options{}) // no binding for @numCS
 	if err != nil {
 		t.Fatal(err)
 	}
-	mary := res.GroupByKey(relation.NewTuple(relation.String("Mary")))
+	mary := res.groupByKey(relation.NewTuple(relation.String("Mary")))
 	all := func(int) bool { return true }
 	// numCS = 3: passes (3 courses); numCS = 4: fails.
-	if !smt.EvalFormula(mary.Presence(), all, map[string]float64{"numCS": 3}) {
+	if !smt.EvalFormula(mary.presence(), all, map[string]float64{"numCS": 3}) {
 		t.Error("numCS=3 should pass")
 	}
-	if smt.EvalFormula(mary.Presence(), all, map[string]float64{"numCS": 4}) {
+	if smt.EvalFormula(mary.presence(), all, map[string]float64{"numCS": 4}) {
 		t.Error("numCS=4 should fail")
 	}
 }
 
 func TestAggProvOutCols(t *testing.T) {
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	res, err := evalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,14 +143,11 @@ func TestAggProvOutCols(t *testing.T) {
 	if res.OutCols[0].IsAgg || !res.OutCols[1].IsAgg {
 		t.Errorf("out cols = %v", res.OutCols)
 	}
-	if len(res.GroupKeyCols()) != 1 {
-		t.Errorf("group key cols = %v", res.GroupKeyCols())
-	}
 }
 
 func TestAggProvRejectsNonAggregate(t *testing.T) {
 	db := testdb.Example1DB()
-	if _, err := EvalAggProv(testdb.Q2(), db, nil); err == nil {
+	if _, err := evalAggProv(testdb.Q2(), db, nil, engine.Options{}); err == nil {
 		t.Error("non-aggregate query should be rejected")
 	}
 }
@@ -148,11 +157,11 @@ func TestAggProvCountStar(t *testing.T) {
 	q := &ra.GroupBy{GroupCols: []string{"name"},
 		Aggs: []ra.AggSpec{{Func: ra.Count, As: "c"}},
 		In:   &ra.Rel{Name: "Registration"}}
-	res, err := EvalAggProv(q, db, nil)
+	res, err := evalAggProv(q, db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jesse := res.GroupByKey(relation.NewTuple(relation.String("Jesse")))
+	jesse := res.groupByKey(relation.NewTuple(relation.String("Jesse")))
 	if jesse == nil {
 		t.Fatal("Jesse group missing")
 	}
@@ -171,7 +180,7 @@ func TestAggProvAgainstConcreteSubinstances(t *testing.T) {
 	// Exactness: for sampled subinstances, the symbolic aggregate equals
 	// the concretely evaluated aggregate.
 	db := testdb.Example1DB()
-	res, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	res, err := evalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +197,7 @@ func TestAggProvAgainstConcreteSubinstances(t *testing.T) {
 			}
 		}
 		sub := db.Subinstance(keep)
-		conc, err := Eval(testdb.AggQ2(), sub, nil)
+		conc, err := engine.Eval(testdb.AggQ2(), sub, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,16 +225,16 @@ func TestGroupDisagreementViaPresence(t *testing.T) {
 	// The Example 4 counterexample: a single ECON tuple (t6) makes Q2
 	// return (Mary, 88) while Q1 returns nothing.
 	db := testdb.Example1DB()
-	r1, err := EvalAggProv(testdb.AggQ1(), db, nil)
+	r1, err := evalAggProv(testdb.AggQ1(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := EvalAggProv(testdb.AggQ2(), db, nil)
+	r2, err := evalAggProv(testdb.AggQ2(), db, nil, engine.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mary := relation.NewTuple(relation.String("Mary"))
-	g1, g2 := r1.GroupByKey(mary), r2.GroupByKey(mary)
+	g1, g2 := r1.groupByKey(mary), r2.groupByKey(mary)
 	assign := assignIDs(1, 6) // Mary + her ECON registration
 	p1 := g1.Exists.Eval(assign)
 	p2 := g2.Exists.Eval(assign)
@@ -233,4 +242,19 @@ func TestGroupDisagreementViaPresence(t *testing.T) {
 		t.Errorf("with {t1,t6}: Q1 presence=%v Q2 presence=%v, want false/true", p1, p2)
 	}
 	_ = boolexpr.True() // keep boolexpr imported for future extensions
+}
+
+// TestAggProvHonorsBudget: the provenance pass runs under the caller's
+// engine options, so a failing stop hook and a one-row budget each abort it.
+func TestAggProvHonorsBudget(t *testing.T) {
+	db := testdb.Example1DB()
+	errStop := errors.New("stop")
+	_, err := evalAggProv(testdb.AggQ1(), db, nil, engine.Options{Stop: func() error { return errStop }})
+	if !errors.Is(err, errStop) {
+		t.Errorf("failing Stop: got %v, want the stop error", err)
+	}
+	_, err = evalAggProv(testdb.AggQ1(), db, nil, engine.Options{MaxRows: 1})
+	if !errors.Is(err, engine.ErrRowBudget) {
+		t.Errorf("MaxRows 1: got %v, want ErrRowBudget", err)
+	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/boolexpr"
 	"repro/internal/engine"
-	"repro/internal/eval"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/sat"
@@ -95,11 +94,11 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		}
 	}
 	t0 = time.Now()
-	ap1, err := evalAggProvHaving(q1, p.DB, provParams, origParams)
+	ap1, err := evalAggProvHaving(q1, p.DB, provParams, origParams, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	ap2, err := evalAggProvHaving(q2, p.DB, provParams, origParams)
+	ap2, err := evalAggProvHaving(q2, p.DB, provParams, origParams, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,27 +110,27 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// smallest group is tried first (the paper picks the group with the
 	// fewest tuples for tractability).
 	differKeys := map[string]bool{}
-	for _, rel := range []*relation.Relation{d12, d21} {
-		ap := ap1
-		if rel == d21 {
-			ap = ap2
+	for _, side := range []struct {
+		rel *relation.Relation
+		ap  *aggProvResult
+	}{{d12, ap1}, {d21, ap2}} {
+		// An output tuple's non-aggregate columns locate its groups: index
+		// the side's groups by them once (a projection that drops group
+		// columns maps several groups to one output key).
+		byOut := map[string][]string{}
+		for _, g := range side.ap.Groups {
+			k := projectedKey(g, side.ap).Key()
+			byOut[k] = append(byOut[k], g.Key.Key())
 		}
-		keyCols := ap.GroupKeyCols()
-		for _, tup := range rel.Tuples {
-			// The output tuple's non-aggregate columns locate its group.
-			key := make(relation.Tuple, 0, len(keyCols))
-			for pos, c := range ap.OutCols {
+		for _, tup := range side.rel.Tuples {
+			var key relation.Tuple
+			for pos, c := range side.ap.OutCols {
 				if !c.IsAgg && pos < len(tup) {
 					key = append(key, tup[pos])
 				}
 			}
-			// Map output key back to the full group key when the
-			// projection kept all group columns in order; otherwise match
-			// by scanning.
-			for _, g := range ap.Groups {
-				if projectedKey(g, ap).Key() == key.Key() {
-					differKeys[g.Key.Key()] = true
-				}
+			for _, gk := range byOut[key.Key()] {
+				differKeys[gk] = true
 			}
 		}
 	}
@@ -142,7 +141,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	}
 	var cands []cand
 	seen := map[string]bool{}
-	for _, ap := range []*eval.AggProvResult{ap1, ap2} {
+	for _, ap := range []*aggProvResult{ap1, ap2} {
 		for _, g := range ap.Groups {
 			ks := g.Key.Key()
 			if seen[ks] {
@@ -187,8 +186,8 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		g1 := ap1.GroupByKey(c.key)
-		g2 := ap2.GroupByKey(c.key)
+		g1 := ap1.groupByKey(c.key)
+		g2 := ap2.groupByKey(c.key)
 		f := groupDisagreement(g1, g2, ap1, ap2)
 		f = addFKFormulas(f, p.DB, fks)
 		res := smt.Solve(smt.Problem{Formula: f, Params: specs, MaxNodes: opts.MaxNodes, Stop: p.stopFunc()})
@@ -230,9 +229,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// verification phase would escape the request's deadline and caps.
 	verifyProblem := Problem{Q1: q1, Q2: q2, DB: p.DB, Constraints: p.Constraints, Params: origParams,
 		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
-	// The aggregate candidates carry their own parameter settings, which the
-	// per-problem prepared state cannot answer: no shared checker here.
-	oks := verifyCandidates(verifyProblem, nil, pending)
+	oks := verifyCandidates(verifyProblem, pending)
 	var best *Counterexample
 	for i, ce := range pending {
 		if !oks[i] {
@@ -257,18 +254,18 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 // evalAggProvHaving computes aggregate provenance, using symParams for the
 // symbolic HAVING translation while the inner query is evaluated under the
 // full parameter binding when it needs parameters of its own.
-func evalAggProvHaving(q ra.Node, db *relation.Database, symParams, fullParams map[string]relation.Value) (*eval.AggProvResult, error) {
-	res, err := eval.EvalAggProv(q, db, symParams)
+func evalAggProvHaving(q ra.Node, db *relation.Database, symParams, fullParams map[string]relation.Value, opts engine.Options) (*aggProvResult, error) {
+	res, err := evalAggProv(q, db, symParams, opts)
 	if err == nil {
 		return res, nil
 	}
 	// The inner query may reference withheld parameters; retry fully bound.
-	return eval.EvalAggProv(q, db, fullParams)
+	return evalAggProv(q, db, fullParams, opts)
 }
 
 // projectedKey returns a group's non-aggregate output columns (the values
 // by which its output row is identified after projection).
-func projectedKey(g *eval.AggGroup, ap *eval.AggProvResult) relation.Tuple {
+func projectedKey(g *aggGroup, ap *aggProvResult) relation.Tuple {
 	var out relation.Tuple
 	for _, c := range ap.OutCols {
 		if !c.IsAgg {
@@ -278,24 +275,24 @@ func projectedKey(g *eval.AggGroup, ap *eval.AggProvResult) relation.Tuple {
 	return out
 }
 
-func otherGroup(ap1, ap2, this *eval.AggProvResult, key relation.Tuple) *eval.AggGroup {
+func otherGroup(ap1, ap2, this *aggProvResult, key relation.Tuple) *aggGroup {
 	if this == ap1 {
-		return ap2.GroupByKey(key)
+		return ap2.groupByKey(key)
 	}
-	return ap1.GroupByKey(key)
+	return ap1.groupByKey(key)
 }
 
 // groupDisagreement builds the Listing 2 constraint for one group key:
 // presence in exactly one result, or presence in both with some compared
 // aggregate value differing.
-func groupDisagreement(g1, g2 *eval.AggGroup, ap1, ap2 *eval.AggProvResult) smt.Formula {
+func groupDisagreement(g1, g2 *aggGroup, ap1, ap2 *aggProvResult) smt.Formula {
 	p1 := smt.Formula(&smt.FConst{Val: false})
 	if g1 != nil {
-		p1 = g1.Presence()
+		p1 = g1.presence()
 	}
 	p2 := smt.Formula(&smt.FConst{Val: false})
 	if g2 != nil {
-		p2 = g2.Presence()
+		p2 = g2.presence()
 	}
 	onlyOne := smt.Or(smt.And(p1, smt.Not(p2)), smt.And(smt.Not(p1), p2))
 	if g1 == nil || g2 == nil {
@@ -536,8 +533,13 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: AggOpt fallback to AggBasic failed: %v", err)
 		}
+		// The fallback's Stats cover the whole call: Agg-Opt's own inner
+		// evaluation counts as raw evaluation, and the total runs from
+		// Agg-Opt's entry.
 		st.Algorithm = "Agg-Opt(fallback)"
-		return ce, st, err
+		st.RawEvalTime += stats.RawEvalTime
+		st.TotalTime = time.Since(start)
+		return ce, st, nil
 	}
 	t := diff.Tuples[0]
 

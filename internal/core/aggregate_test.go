@@ -2,7 +2,9 @@ package core
 
 import (
 	"testing"
+	"time"
 
+	"repro/internal/raparser"
 	"repro/internal/relation"
 	"repro/internal/testdb"
 )
@@ -125,6 +127,33 @@ func TestAggOptExample5WithHaving(t *testing.T) {
 	}
 	if ce.Size() > 2 {
 		t.Errorf("size = %d, want <= 2 with parameterization", ce.Size())
+	}
+}
+
+// TestAggOptFallbackStats: with the HAVING threshold as the only
+// difference, the pre-aggregation queries agree and Agg-Opt falls back to
+// Agg-Basic. The returned Stats cover the whole call: the parts (Agg-Opt's
+// own inner evaluation counted as raw evaluation) sum to at most TotalTime,
+// which in turn fits in the call's wall time.
+func TestAggOptFallbackStats(t *testing.T) {
+	q2 := raparser.MustParse(`select[cnt > 3](groupby[name; avg(grade) -> avg_grade, count(course) -> cnt](
+		project[name, course, grade](select[dept = 'CS'](Student join Registration))))`)
+	p := Problem{Q1: testdb.HavingQ1(), Q2: q2, DB: testdb.Example1DB()}
+	start := time.Now()
+	ce, st, err := AggOpt(p, AggOptions{})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(p, ce); err != nil {
+		t.Fatalf("invalid: %v", err)
+	}
+	if st.Algorithm != "Agg-Opt(fallback)" {
+		t.Fatalf("algorithm = %s, want the fallback", st.Algorithm)
+	}
+	if parts := st.RawEvalTime + st.ProvEvalTime + st.SolverTime; parts > st.TotalTime || st.TotalTime > wall {
+		t.Errorf("raw %v + prov %v + solver %v = %v, total %v, wall %v: want parts ≤ total ≤ wall",
+			st.RawEvalTime, st.ProvEvalTime, st.SolverTime, parts, st.TotalTime, wall)
 	}
 }
 

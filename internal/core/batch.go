@@ -89,14 +89,7 @@ func constraintsHold(p Problem, db *relation.Database) bool {
 // query evaluations batched. Subinstance databases are only materialized
 // for candidates whose disagreement already checked out.
 func VerifyBatch(p Problem, idSets [][]int) ([]*Counterexample, error) {
-	return verifyBatchWith(p, nil, idSets)
-}
-
-// verifyBatchWith is VerifyBatch routed through a shared checker when the
-// caller holds one: near-full candidates are then answered by the prepared
-// delta state instead of a fresh batch pass.
-func verifyBatchWith(p Problem, c *checker, idSets [][]int) ([]*Counterexample, error) {
-	disagree, err := disagreeOn(p, c, idSets)
+	disagree, err := DisagreeBatch(p, idSets)
 	if err != nil {
 		return nil, err
 	}
@@ -114,23 +107,12 @@ func verifyBatchWith(p Problem, c *checker, idSets [][]int) ([]*Counterexample, 
 	return out, nil
 }
 
-// disagreeOn dispatches a disagreement batch through the caller's checker
-// when one is available (the delta/batch adaptive path) and DisagreeBatch
-// otherwise.
-func disagreeOn(p Problem, c *checker, idSets [][]int) ([]bool, error) {
-	if c != nil {
-		return c.disagree(idSets)
-	}
-	return DisagreeBatch(p, idSets)
-}
-
 // verifyCandidates reports Verify success for each prebuilt candidate
 // counterexample. When every candidate shares the problem's queries and
-// parameter setting, the disagreement checks run as one batch (through the
-// shared checker when the caller holds one); candidates carrying their own
-// Params or query rewrites (the parameterized aggregate algorithms) and γ
-// plans fall back to per-candidate Verify.
-func verifyCandidates(p Problem, c *checker, ces []*Counterexample) []bool {
+// parameter setting, the disagreement checks run as one batch; candidates
+// carrying their own Params or query rewrites (the parameterized aggregate
+// algorithms) and γ plans fall back to per-candidate Verify.
+func verifyCandidates(p Problem, ces []*Counterexample) []bool {
 	out := make([]bool, len(ces))
 	batchable := len(ces) > 1
 	for _, ce := range ces {
@@ -144,7 +126,7 @@ func verifyCandidates(p Problem, c *checker, ces []*Counterexample) []bool {
 		for i, ce := range ces {
 			idSets[i] = toIntIDs(ce.IDs)
 		}
-		if disagree, err := disagreeOn(p, c, idSets); err == nil {
+		if disagree, err := DisagreeBatch(p, idSets); err == nil {
 			for i, ce := range ces {
 				out[i] = disagree[i] && ce.DB.SubinstanceOf(p.DB) && constraintsHold(p, ce.DB)
 			}

@@ -117,7 +117,7 @@ func TestVerifyCandidatesFallback(t *testing.T) {
 		ces = append(ces, &Counterexample{DB: sub, IDs: tids,
 			Params: map[string]relation.Value{}}) // forces the fallback
 	}
-	got := verifyCandidates(p, nil, ces)
+	got := verifyCandidates(p, ces)
 	for i, ce := range ces {
 		if want := Verify(p, ce) == nil; got[i] != want {
 			t.Errorf("candidate %d: verifyCandidates=%v Verify=%v", i, got[i], want)

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/testdb"
 )
 
@@ -46,6 +47,16 @@ func BenchmarkTheorem3Reduction(b *testing.B) {
 	p := theorem3Instance(figure11Graph())
 	for i := 0; i < b.N; i++ {
 		if _, _, err := OptSigma(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkAggProvenance(b *testing.B) {
+	db := testdb.Example1DB()
+	q := testdb.HavingQ2()
+	for i := 0; i < b.N; i++ {
+		if _, err := evalAggProv(q, db, nil, engine.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,16 +31,16 @@
 //
 // # Candidate checking
 //
-// The search algorithms funnel their "do Q1 and Q2 still disagree on this
-// subinstance" questions through a per-problem checker that routes each
-// candidate to the cheapest evaluation path: candidates whose deletion
-// delta is at most a quarter of |D| (maxDeltaFraction) go through the
-// retained-state delta evaluation (engine.PrepareDiff / EvalDelta);
-// witness-sized candidates go through the batched bitvector layer
-// ([DisagreeBatch] / [VerifyBatch], chunked at 256 candidates); γ plans
-// and row-budget overruns fall back to per-candidate evaluation. The
-// routing changes cost only — accept/reject decisions are identical on
-// every path.
+// The search algorithms take their base diffs from one plain evaluation of
+// Q1 and Q2 on D and funnel their "do Q1 and Q2 still disagree on this
+// subinstance" questions through two paths: the batched bitvector layer
+// ([DisagreeBatch] / [VerifyBatch], chunked at 256 candidates, one engine
+// pass per chunk), and per-candidate evaluation, which γ plans, row-budget
+// overruns and candidates carrying their own parameter settings fall back
+// to. The paths change cost only — accept/reject decisions are identical on
+// both. The retained-state delta evaluation (engine.PrepareDiff) serves the
+// two callers that keep state across checks: [ShrinkGreedy], which commits
+// one deletion at a time, and [LiveSession].
 //
 // Solvers live below this package: internal/sat (CDCL), internal/minones
 // (min-ones enumeration/optimization), internal/smt (symbolic aggregate

@@ -33,21 +33,16 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	// One prepared evaluation serves the whole enumeration: its retained
-	// state provides the base diffs here and answers the candidate
-	// disagreement checks below (batched for witness-sized candidates,
-	// delta-incremental for near-full ones).
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, err
 	}
-	if !chk.differs {
+	if !differs {
 		return nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	fks := p.ForeignKeys()
 
 	type tupleCase struct {
@@ -140,7 +135,7 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	for i, c := range pending {
 		idSets[i] = c.ids
 	}
-	ces, err := verifyBatchWith(p, chk, idSets)
+	ces, err := VerifyBatch(p, idSets)
 	if err != nil {
 		return nil, err
 	}

@@ -152,21 +152,18 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "SPJUDStar"}
 	start := time.Now()
 
-	// The checker's prepared evaluation is shared by the whole odometer
-	// scan: base diffs here, candidate disagreement checks below.
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	qa, qb := p.Q1, p.Q2
 	diff := d12
 	if diff.Len() == 0 {
@@ -284,7 +281,7 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 			break
 		}
 	}
-	disagree, err := disagreeOn(p, chk, combos)
+	disagree, err := DisagreeBatch(p, combos)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"repro/internal/engine"
 	"testing"
 
-	"repro/internal/eval"
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -80,11 +80,11 @@ func bruteSmallestCounterexample(p Problem) int {
 			continue
 		}
 		sub := p.DB.Subinstance(keep)
-		r1, err := eval.Eval(p.Q1, sub, p.Params)
+		r1, err := engine.Eval(p.Q1, sub, p.Params)
 		if err != nil {
 			continue
 		}
-		r2, err := eval.Eval(p.Q2, sub, p.Params)
+		r2, err := engine.Eval(p.Q2, sub, p.Params)
 		if err != nil {
 			continue
 		}

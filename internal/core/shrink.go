@@ -9,132 +9,10 @@ import (
 	"repro/internal/relation"
 )
 
-// This file wires the engine's delta-incremental subsystem into the witness
-// search: a checker owns one engine.PreparedDiff per (Q1, Q2, D) problem and
-// routes each candidate accept/reject question to whichever evaluation path is
-// cheapest — the retained-state deletion delta for candidates close to the
-// base instance, the bitvector batch layer for the witness-sized ones — and
-// ShrinkGreedy turns the committed-delta mode into a solver-free
-// counterexample minimizer (one O(|Δ|) evaluation per deletion attempt
-// instead of a full re-evaluation).
-
-// maxDeltaFraction bounds the delta path: a candidate whose deletion delta
-// exceeds this fraction of the base instance pays more in delta propagation
-// (O(|Δ| × operator fanout)) than a fresh batched evaluation would, so it
-// falls back to the batch/per-candidate path.
-const maxDeltaFraction = 0.25
-
-// checker carries the per-problem evaluation state the search algorithms
-// share across candidates: the base diffs of Q1 − Q2 / Q2 − Q1 on D (from
-// the one-time prepared evaluation) and the prepared per-operator state for
-// delta-incremental candidate checks. The prepared object is reserved for
-// *uncommitted* candidate deltas here — its base must stay D, or the
-// complement arithmetic below would silently check the wrong subinstance
-// (ShrinkGreedy owns its own PreparedDiff precisely because it commits).
-type checker struct {
-	p       Problem
-	prep    *engine.PreparedDiff
-	allIDs  []relation.TupleID
-	differs bool
-	// d12, d21 are the difference tuples on the full database D.
-	d12, d21 *relation.Relation
-}
-
-// newChecker evaluates the problem's queries once on D. When the plan pair
-// is delta-incrementalizable the evaluation is retained as a PreparedDiff
-// (so the diffs come from the prepared state, not a second evaluation);
-// otherwise it degrades to the plain Disagrees evaluation.
-func newChecker(p Problem) (*checker, error) {
-	c := &checker{p: p}
-	if prep, err := engine.PrepareDiff(p.Q1, p.Q2, p.DB, p.Params, p.engineOpts()); err == nil {
-		c.prep = prep
-		c.d12, c.d21 = prep.Diffs()
-	} else {
-		var derr error
-		_, c.d12, c.d21, derr = p.disagrees(p.DB)
-		if derr != nil {
-			return nil, derr
-		}
-	}
-	c.differs = c.d12.Len() > 0 || c.d21.Len() > 0
-	return c, nil
-}
-
-// disagree reports, per candidate subinstance (a kept-id set over D),
-// whether Q1 and Q2 disagree on it — DisagreeBatch's contract, with
-// near-full candidates answered by the retained delta state instead of a
-// fresh engine pass.
-func (c *checker) disagree(idSets [][]int) ([]bool, error) {
-	if c.prep == nil || c.prep.Epoch() != 0 {
-		return DisagreeBatch(c.p, idSets)
-	}
-	out := make([]bool, len(idSets))
-	base := c.prep.BaseSize()
-	budget := int(maxDeltaFraction * float64(base))
-	var batchIdx []int
-	var batchSets [][]int
-	kept := map[relation.TupleID]bool{}
-	for i, ids := range idSets {
-		// Each iteration can run a full delta evaluation; honor the
-		// request budget between candidates.
-		if err := c.p.interrupted(); err != nil {
-			return nil, err
-		}
-		// Route on the deduplicated kept count: len(ids) over-counts
-		// duplicates, which would under-estimate the removed set and let an
-		// over-budget delta slip through to the delta path.
-		for k := range kept {
-			delete(kept, k)
-		}
-		for _, id := range ids {
-			kept[relation.TupleID(id)] = true
-		}
-		if base-len(kept) > budget {
-			batchIdx = append(batchIdx, i)
-			batchSets = append(batchSets, ids)
-			continue
-		}
-		res, err := c.prep.EvalDelta(c.complementSet(kept))
-		if err != nil {
-			// Delta-time evaluation errors (e.g. a predicate failing on a
-			// resurrected tuple) are candidate-specific: fall back.
-			batchIdx = append(batchIdx, i)
-			batchSets = append(batchSets, ids)
-			continue
-		}
-		out[i] = res.Disagrees()
-	}
-	if len(batchSets) > 0 {
-		bs, err := DisagreeBatch(c.p, batchSets)
-		if err != nil {
-			return nil, err
-		}
-		for j, i := range batchIdx {
-			out[i] = bs[j]
-		}
-	}
-	return out, nil
-}
-
-// complementSet turns a kept-id set into the removed-id delta against D.
-func (c *checker) complementSet(kept map[relation.TupleID]bool) []relation.TupleID {
-	if c.allIDs == nil {
-		c.allIDs = c.p.DB.AllIDs()
-	}
-	removed := make([]relation.TupleID, 0, len(c.allIDs)-len(kept))
-	for _, id := range c.allIDs {
-		if !kept[id] {
-			removed = append(removed, id)
-		}
-	}
-	return removed
-}
-
-// release drops the retained per-operator state, keeping only the base
-// diffs. Callers that never check candidates through the checker (Basic,
-// OptSigmaAll) release after construction so the evaluation-sized retained
-// working set is not pinned for the whole solve phase.
-func (c *checker) release() { c.prep = nil }
+// This file is ShrinkGreedy, the solver-free counterexample minimizer: it
+// holds an engine.PreparedDiff over D and answers each deletion attempt with
+// one O(|Δ|) ApplyDelta instead of a full re-evaluation, committing the
+// accepted deletions.
 
 // fkGuard tracks foreign-key obligations during greedy deletion: a parent
 // tuple may only be deleted while no live child still depends on it as its
@@ -247,7 +125,7 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 				if !guard.removable(id) {
 					continue
 				}
-				res, err := prep.EvalDelta([]relation.TupleID{id})
+				res, err := prep.ApplyDelta([]relation.TupleID{id}, nil)
 				if err != nil {
 					// Delta-time evaluation errors are candidate-specific
 					// (e.g. a predicate failing on a resurrected tuple):

@@ -129,26 +129,18 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 		return nil, nil, err
 	}
 
-	// One prepared evaluation (base scans shared between Q1 and Q2)
-	// replaces the two independent Disagrees evaluations. Basic checks no
-	// further candidates through the checker — the solver models it
-	// verifies are witness-sized, where per-candidate Verify is cheapest —
-	// so the retained per-operator state is released immediately rather
-	// than pinned through the solve phase.
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
-	chk.release()
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 
 	t0 = time.Now()
 	tuples, provs, err := provOfDiffTuples(p.Q1, p.Q2, d12, p)
@@ -348,23 +340,18 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 		return nil, nil, err
 	}
 
-	// As in Basic: one shared-scan prepared evaluation for the base diffs,
-	// retained state released (the per-tuple candidates below are verified
-	// per-candidate, never through the checker).
 	t0 := time.Now()
-	chk, err := newChecker(p)
+	differs, d12, d21, err := p.disagrees(p.DB)
 	if err != nil {
 		return nil, nil, err
 	}
-	chk.release()
 	stats.RawEvalTime = time.Since(t0)
-	if !chk.differs {
+	if !differs {
 		return nil, nil, ErrQueriesAgree
 	}
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	d12, d21 := chk.d12, chk.d21
 	// Flatten the per-side, per-tuple iteration space and fan it out over
 	// the worker pool: every task pushes its tuple's selection down,
 	// evaluates provenance, and runs its own optimizing solver against the

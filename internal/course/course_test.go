@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eval"
+	"repro/internal/engine"
 	"repro/internal/pool"
 	"repro/internal/relation"
 )
@@ -41,7 +41,7 @@ func TestGeneratedConstraintsHold(t *testing.T) {
 func TestQuestionsEvaluate(t *testing.T) {
 	db := GenerateDB(1000, 1)
 	for _, q := range Questions() {
-		r, err := eval.Eval(q.Correct, db, nil)
+		r, err := engine.Eval(q.Correct, db, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", q.ID, err)
 		}

@@ -6,12 +6,12 @@ import (
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
+	"repro/internal/testdb"
 	"repro/internal/tpch"
 )
 
 // joinDB builds two relations with a shared key column of 97 distinct
-// values: an equi-join-heavy workload where the hash join's advantage over
-// the quadratic nested loop is the whole story.
+// values: an equi-join-heavy workload.
 func joinDB(n int) *relation.Database {
 	db := relation.NewDatabase()
 	db.CreateRelation("L", relation.NewSchema(
@@ -25,55 +25,32 @@ func joinDB(n int) *relation.Database {
 	return db
 }
 
-// BenchmarkEquiJoin compares the hash equi-join against the nested-loop
-// baseline on the same plan (the acceptance benchmark for the engine's
-// physical layer).
+// BenchmarkEquiJoin times the hash equi-join (the engine's physical
+// layer).
 func BenchmarkEquiJoin(b *testing.B) {
 	db := joinDB(2000)
 	q := raparser.MustParse("rename[x](L) join[x.k = y.k] rename[y](R)")
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"hash", Options{}},
-		{"nested-loop", Options{ForceNestedLoop: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunOpts[bool](Set, q, db, nil, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := Run[bool](Set, q, db, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkEquiJoinProv is the same comparison under the why-provenance
+// BenchmarkEquiJoinProv is the same join under the why-provenance
 // semiring, the hot path of witness search.
 func BenchmarkEquiJoinProv(b *testing.B) {
 	db := joinDB(1000)
 	q := raparser.MustParse("rename[x](L) join[x.k = y.k] rename[y](R)")
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"hash", Options{}},
-		{"nested-loop", Options{ForceNestedLoop: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunOpts(Why, q, db, nil, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(Why, q, db, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
-// BenchmarkTPCH compares hash vs nested-loop on a customer ⋈ orders
-// equi-join at TPC-H SF 0.01 (the nested loop is quadratic in ~16.5k rows;
-// the three-way join below is hash-only because its nested-loop baseline
-// needs ~10⁹ pair evaluations).
+// BenchmarkTPCH times serial and parallel hash joins on customer ⋈ orders
+// and customer ⋈ orders ⋈ lineitem at TPC-H SF 0.01.
 func BenchmarkTPCH(b *testing.B) {
 	db := tpch.Generate(0.01, 1)
 	two := raparser.MustParse(
@@ -88,7 +65,6 @@ func BenchmarkTPCH(b *testing.B) {
 		opts Options
 	}{
 		{"customer-orders/hash", two, Options{}},
-		{"customer-orders/nested-loop", two, Options{ForceNestedLoop: true}},
 		{"customer-orders/parallel", two, Options{Parallelism: NumWorkers()}},
 		{"customer-orders-lineitem/hash", three, Options{}},
 		{"customer-orders-lineitem/parallel", three, Options{Parallelism: NumWorkers()}},
@@ -103,25 +79,15 @@ func BenchmarkTPCH(b *testing.B) {
 	}
 }
 
-// BenchmarkDiff compares the hash-probed difference against the linear
-// probe on a wide difference (the Q1 − Q2 shape of the core loop).
+// BenchmarkDiff times the hash-probed difference on a wide difference (the
+// Q1 − Q2 shape of the core loop).
 func BenchmarkDiff(b *testing.B) {
 	db := joinDB(4000)
 	q := raparser.MustParse("project[k, a](L) diff project[k, b](R)")
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"hash", Options{}},
-		{"nested-loop", Options{ForceNestedLoop: true}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunOpts[bool](Set, q, db, nil, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		if _, err := Run[bool](Set, q, db, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -177,5 +143,51 @@ func BenchmarkParallelJoin(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkNaturalHashJoin times a natural join's hash path.
+func BenchmarkNaturalHashJoin(b *testing.B) {
+	db := joinDB(2000)
+	q := raparser.MustParse("L join R")
+	for i := 0; i < b.N; i++ {
+		if _, err := Eval(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkThetaEquiJoin times a θ-join whose equi-key runs the hash path
+// and whose residual filters the matched pairs.
+func BenchmarkThetaEquiJoin(b *testing.B) {
+	db := joinDB(2000)
+	q := raparser.MustParse("rename[x](L) join[x.k = y.k and x.a < y.b] rename[y](R)")
+	for i := 0; i < b.N; i++ {
+		if _, err := Eval(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkProvenanceEvaluation times how-provenance evaluation of Q2 − Q1
+// on the running example.
+func BenchmarkProvenanceEvaluation(b *testing.B) {
+	db := testdb.Example1DB()
+	q := &ra.Diff{L: testdb.Q2(), R: testdb.Q1()}
+	for i := 0; i < b.N; i++ {
+		if _, err := EvalProv(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkGroupBy times γ with several aggregates.
+func BenchmarkGroupBy(b *testing.B) {
+	db := joinDB(5000)
+	q := raparser.MustParse("groupby[k; count(*) -> c, sum(a) -> s, avg(a) -> m](L)")
+	for i := 0; i < b.N; i++ {
+		if _, err := Eval(q, db, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

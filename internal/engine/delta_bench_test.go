@@ -1,6 +1,6 @@
 // Delta-incremental evaluation benchmarks: the course-workload sequential
 // shrink loop — remove one tuple per step, re-check Q1 − Q2 after every
-// removal — evaluated with the retained-state PreparedDiff (one EvalDelta +
+// removal — evaluated with the retained-state PreparedDiff (one ApplyDelta +
 // Commit per step) against per-candidate EvalBatchDiffs re-evaluation (one
 // full bitvector engine pass per step; the steps are sequential, so they
 // cannot be batched together). This is the acceptance benchmark for the
@@ -58,7 +58,7 @@ func deltaBenchRowFor(steps int) *deltaBenchRow {
 var deltaShrinkSteps = []int{64, 256, 1024}
 
 // BenchmarkPreparedDiff times the shrink loop on the retained state: one
-// PrepareDiff, then per step one single-tuple EvalDelta plus Commit.
+// PrepareDiff, then per step one single-tuple ApplyDelta plus Commit.
 func BenchmarkPreparedDiff(b *testing.B) {
 	db, order := shrinkWorkload()
 	q1, q2 := course.Questions()[3].Correct, course.Questions()[5].Correct
@@ -74,7 +74,7 @@ func BenchmarkPreparedDiff(b *testing.B) {
 	}
 	for i := 0; i < 256; i++ {
 		kept[order[i]] = false
-		res, err := p.EvalDelta(order[i : i+1])
+		res, err := p.ApplyDelta(order[i:i+1], nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func BenchmarkPreparedDiff(b *testing.B) {
 					b.Fatal(err)
 				}
 				for s := 0; s < steps; s++ {
-					res, err := p.EvalDelta(order[s : s+1])
+					res, err := p.ApplyDelta(order[s:s+1], nil)
 					if err != nil {
 						b.Fatal(err)
 					}

@@ -436,59 +436,3 @@ func TestDifferentialWhySemiring(t *testing.T) {
 		}
 	}
 }
-
-// TestForceNestedLoopAgrees exercises the nested-loop physical fallbacks
-// against the hash operators on the same plans.
-func TestForceNestedLoopAgrees(t *testing.T) {
-	rng := rand.New(rand.NewSource(5150))
-	for trial := 0; trial < 100; trial++ {
-		db := randomDB(rng)
-		q := randomPlan(rng)
-		hash, err := Run[bool](Set, q, db, nil)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		nl, err := RunOpts[bool](Set, q, db, nil, Options{ForceNestedLoop: true})
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !sameKeySets(keySet(hash.Tuples), keySet(nl.Tuples)) {
-			t.Fatalf("trial %d: hash vs nested-loop differ\nquery: %s", trial, q)
-		}
-	}
-}
-
-// TestIntersect covers the physical hash intersection operator.
-func TestIntersect(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 50; trial++ {
-		db := randomDB(rng)
-		l, err := Run[Count](Counting, &ra.Rel{Name: "R"}, db, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Run[Count](Counting, &ra.Rel{Name: "S"}, db, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		both, err := Intersect[Count](Counting, l, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, tup := range l.Tuples {
-			j := r.Lookup(tup)
-			k := both.Lookup(tup)
-			if (j >= 0) != (k >= 0) {
-				t.Fatalf("trial %d: intersection membership wrong for %v", trial, tup)
-			}
-			if j >= 0 && both.Anns[k] != Counting.Times(l.Anns[i], r.Anns[j]) {
-				t.Fatalf("trial %d: intersection count wrong for %v", trial, tup)
-			}
-		}
-		for _, tup := range both.Tuples {
-			if l.Lookup(tup) < 0 || r.Lookup(tup) < 0 {
-				t.Fatalf("trial %d: phantom tuple %v", trial, tup)
-			}
-		}
-	}
-}

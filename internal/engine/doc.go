@@ -12,11 +12,13 @@
 //
 //   - [Set] — plain set semantics, behind [Eval] / [EvalOpts];
 //   - [Why] — Boolean how-provenance over base tuple identifiers, behind
-//     [EvalProv] / [EvalProvOpts] (γ is rejected: aggregate provenance goes
-//     through eval.EvalAggProv);
+//     [EvalProv] / [EvalProvOpts] (γ is rejected: core builds aggregate
+//     provenance on top of the provenance of γ's input);
 //   - [Count] — derivation counting with saturating arithmetic, behind
 //     [CountDistinct] / [CountDistinctOpts];
-//   - [BitSemiring] / [WideBitSemiring] — the batch semirings below.
+//   - [BitSemiring] / [WideBitSemiring] — the batch semirings below;
+//   - the exact ring ℤ of signed count changes, which [PreparedDiff]
+//     uses internally to maintain its state under updates.
 //
 // New annotation domains (lineage sets, tropical costs, …) only need a
 // Semiring implementation; the logical and physical operators are shared.
@@ -36,18 +38,21 @@
 //
 // # Delta-incremental evaluation
 //
-// [PrepareDiff] evaluates Q1 and Q2 once under the counting semiring and
-// retains per-operator state (scan position maps, both join-side hash
-// tables, indexed set-operation outputs, γ group membership, derivation
-// counts). [PreparedDiff.ApplyDelta] propagates one signed update —
-// deletions plus insertions, updates expressed as delete+insert — through
-// the retained state in time proportional to the delta;
-// [PreparedDiff.EvalDelta] is the deletion-only special case, and
-// [DeltaResult.Commit] rebases the retained state (assigning fresh
-// TupleIDs to committed insertions in deterministic order) for sequential
-// shrink loops and live sessions. Invariants: a prepared state answers
-// deltas only against its current base (stale commits fail with
-// [ErrStaleDelta]); derivation counts are kept exact and below a safe
+// [PrepareDiff] evaluates Q1 − Q2 and Q2 − Q1 once, through the same
+// operators under the counting semiring, in a retained mode that keeps
+// every plan node's output, the compiled predicates and the hash join's key
+// indexes. [PreparedDiff.ApplyDelta] propagates one signed update —
+// deletions plus insertions, updates expressed as delete+insert — by
+// running the same plan again under the ring ℤ, so that every node yields
+// the change of its output: σ, π, ρ, ∪ and the planner's Permute are the
+// generic operators applied to their inputs' changes, and only scans,
+// joins, differences and γ keep delta rules that read the retained
+// outputs. The work is proportional to the delta. Deletion-only updates
+// pass no insertions, and [DeltaResult.Commit] rebases the retained state
+// (assigning fresh TupleIDs to committed insertions in deterministic order)
+// for sequential shrink loops and live sessions. Invariants: a prepared
+// state answers deltas only against its current base (stale commits fail
+// with [ErrStaleDelta]); derivation counts are kept exact and below a safe
 // bound — a plan or delta that would saturate them is refused with
 // [ErrNotIncremental] before any state mutates (saturation is not
 // invertible, so signed delta arithmetic over it would be unsound), and

@@ -54,10 +54,6 @@ type Options struct {
 	// Observer, when non-nil, collects the planner's decisions and the
 	// actual join cardinalities observed during execution.
 	Observer *PlanReport
-	// ForceNestedLoop disables the hash physical operators: joins run as
-	// nested loops and the difference probes linearly. Only useful as a
-	// benchmark baseline.
-	ForceNestedLoop bool
 	// Parallelism is the number of worker goroutines the physical operators
 	// may fan out to (hash-partitioned equi-join, partitioned base-scan and
 	// union builds). Values <= 1 keep every operator serial, as do inputs
@@ -116,8 +112,8 @@ func EvalOpts(q ra.Node, db *relation.Database, params map[string]relation.Value
 }
 
 // EvalProv evaluates a SPJUD query with how-provenance annotation. GroupBy
-// nodes are rejected: aggregate queries go through eval.EvalAggProv
-// (Section 5).
+// nodes are rejected: aggregate provenance (Section 5) is built in core on
+// top of the provenance of γ's input.
 func EvalProv(q ra.Node, db *relation.Database, params map[string]relation.Value) (*ProvRel, error) {
 	return Run[*boolexpr.Expr](Why, q, db, params)
 }
@@ -188,6 +184,21 @@ type exec[T any] struct {
 	// without pinning every intermediate of a tree-shaped plan in memory.
 	refs map[ra.Node]int
 	memo map[ra.Node]*Rel[T]
+	// retain memoizes every node's result, not only the shared ones, and
+	// lists the nodes in order (children before parents): the memo is then
+	// the retained state of a PreparedDiff, or one update's per-node changes.
+	retain bool
+	order  []ra.Node
+	// plans, when non-nil, keeps what evaluating a node compiled — σ's
+	// predicate, π's column map, a join's plan with the key index its hash
+	// join built over the right input — so that a PreparedDiff's updates
+	// reuse it instead of compiling again (the join delta rule probes that
+	// index, too).
+	plans map[ra.Node]any
+	// delta, set when the exec computes an update's changes (ApplyDelta),
+	// evaluates the nodes whose change is not simply the generic operator
+	// applied to their children's changes; it reports false for the rest.
+	delta func(q ra.Node) (*Rel[T], bool, error)
 }
 
 func newExec[T any](s Semiring[T], db *relation.Database, params map[string]relation.Value, opts Options) *exec[T] {
@@ -207,7 +218,8 @@ func (e *exec[T]) markShared(q ra.Node) {
 }
 
 func (e *exec[T]) node(q ra.Node) (*Rel[T], error) {
-	if e.refs[q] > 1 {
+	keep := e.retain || e.refs[q] > 1
+	if keep {
 		if r, ok := e.memo[q]; ok {
 			return r, nil
 		}
@@ -216,8 +228,11 @@ func (e *exec[T]) node(q ra.Node) (*Rel[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.refs[q] > 1 {
+	if keep {
 		e.memo[q] = r
+		if e.retain {
+			e.order = append(e.order, q)
+		}
 	}
 	return r, nil
 }
@@ -225,6 +240,11 @@ func (e *exec[T]) node(q ra.Node) (*Rel[T], error) {
 func (e *exec[T]) eval(q ra.Node) (*Rel[T], error) {
 	if err := e.opts.poll(); err != nil {
 		return nil, err
+	}
+	if e.delta != nil {
+		if r, ok, err := e.delta(q); ok {
+			return r, err
+		}
 	}
 	switch x := q.(type) {
 	case *ra.Rel:
@@ -241,16 +261,8 @@ func (e *exec[T]) eval(q ra.Node) (*Rel[T], error) {
 			return nil, err
 		}
 		return e.project(x, in)
-	case *ra.Join:
-		l, err := e.node(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.node(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return e.join(l, r, x.Cond)
+	case *ra.Join, *ra.EquiJoin:
+		return e.joinNode(q)
 	case *ra.Union:
 		l, err := e.node(x.L)
 		if err != nil {
@@ -285,28 +297,13 @@ func (e *exec[T]) eval(q ra.Node) (*Rel[T], error) {
 		return renameRel(in, x.As), nil
 	case *ra.GroupBy:
 		if !e.s.Aggregates() {
-			return nil, fmt.Errorf("%w (%s semiring); use eval.EvalAggProv", ErrNoAggregates, e.s.Name())
+			return nil, fmt.Errorf("%w (%s semiring)", ErrNoAggregates, e.s.Name())
 		}
 		in, err := e.node(x.In)
 		if err != nil {
 			return nil, err
 		}
 		return e.groupBy(x, in)
-	case *ra.EquiJoin:
-		l, err := e.node(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.node(x.R)
-		if err != nil {
-			return nil, err
-		}
-		res, err := e.equiJoin(x, l, r)
-		if err != nil {
-			return nil, err
-		}
-		e.opts.Observer.observe(x, res.Len())
-		return res, nil
 	case *ra.Semi:
 		l, err := e.node(x.L)
 		if err != nil {
@@ -391,13 +388,24 @@ func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 	return out, nil
 }
 
+// selectOp filters the input. Like π, ∪ and Permute it skips input tuples
+// annotated zero, which are absent: one-shot evaluations prune zeros where
+// they arise, but the changes ApplyDelta computes keep the entries where a
+// deletion and an insertion cancelled.
 func (e *exec[T]) selectOp(x *ra.Select, in *Rel[T]) (*Rel[T], error) {
-	pred, err := ra.CompileExpr(x.Pred, in.Schema, e.params)
-	if err != nil {
-		return nil, err
+	pred, ok := e.plans[x].(ra.CompiledExpr)
+	if !ok {
+		var err error
+		if pred, err = ra.CompileExpr(x.Pred, in.Schema, e.params); err != nil {
+			return nil, err
+		}
+		e.keep(x, pred)
 	}
 	out := NewRelCap[T](in.Schema, in.Len())
 	for i, t := range in.Tuples {
+		if e.s.IsZero(in.Anns[i]) {
+			continue
+		}
 		v, err := pred(t)
 		if err != nil {
 			return nil, err
@@ -411,15 +419,35 @@ func (e *exec[T]) selectOp(x *ra.Select, in *Rel[T]) (*Rel[T], error) {
 }
 
 func (e *exec[T]) project(x *ra.Project, in *Rel[T]) (*Rel[T], error) {
-	idxs, outSchema, err := projectPlan(x, in.Schema)
-	if err != nil {
-		return nil, err
+	pp, ok := e.plans[x].(projection)
+	if !ok {
+		var err error
+		if pp.idxs, pp.schema, err = projectPlan(x, in.Schema); err != nil {
+			return nil, err
+		}
+		e.keep(x, pp)
 	}
-	out := NewRel[T](outSchema)
+	out := NewRel[T](pp.schema)
 	for i, t := range in.Tuples {
-		out.Add(e.s, t.Project(idxs), in.Anns[i])
+		if !e.s.IsZero(in.Anns[i]) {
+			out.Add(e.s, t.Project(pp.idxs), in.Anns[i])
+		}
 	}
 	return out, nil
+}
+
+// projection is π's compiled plan: input column positions and the output
+// schema.
+type projection struct {
+	idxs   []int
+	schema relation.Schema
+}
+
+// keep records a node's compiled plan when the exec keeps plans.
+func (e *exec[T]) keep(q ra.Node, plan any) {
+	if e.plans != nil {
+		e.plans[q] = plan
+	}
 }
 
 func projectPlan(p *ra.Project, in relation.Schema) ([]int, relation.Schema, error) {

@@ -1,73 +1,185 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
 
-// This file is the physical operator layer: hash equi-join (driven by the
-// keys EquiJoinPlan extracts), hash-based union/difference/intersection and
-// duplicate merging, and the nested-loop fallbacks used for residual-only
-// θ-conditions and as a benchmark baseline.
+// This file is the physical operator layer: the join (hash equi-join on the
+// keys EquiJoinPlan or the planner extracts, nested loops for cross products
+// and residual-only θ-conditions), hash-based union/difference and
+// duplicate merging.
 
-// join dispatches a theta or natural join.
-func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
-	if cond == nil {
-		return e.naturalJoin(l, r)
+// joinSpec is one join's physical plan over its input schemas: the equi-key
+// columns (none for a cross product or a residual-only θ-join), the
+// residual θ-condition, and how a matched pair forms its output tuple. The
+// θ-join, the natural join and the planner's positional equi-join all
+// evaluate through it, and so does the delta rule for joins.
+type joinSpec struct {
+	schema       relation.Schema
+	lKeys, rKeys []int
+	// natural joins keep the left columns plus rOnly of the right; every
+	// other join keeps the full concatenation.
+	natural bool
+	rOnly   []int
+	pred    ra.CompiledExpr // residual θ-condition over the concatenation, or nil
+}
+
+// joinIndex is a join node's plan, kept by an exec that keeps plans
+// (PrepareDiff's), with a key index (key → positions) over each input's
+// retained output for the join delta rule; the base evaluation's hash join
+// probes the right one. Both are extended on every update to the positions
+// commits appended since the watermarks: tuples resurrected through a Diff
+// keep their old, already-indexed position.
+type joinIndex struct {
+	spec             *joinSpec
+	lIdx, rIdx       map[string][]int
+	lSynced, rSynced int
+}
+
+// joinInputs returns a join node's two inputs.
+func joinInputs(q ra.Node) (ra.Node, ra.Node) {
+	if x, ok := q.(*ra.EquiJoin); ok {
+		return x.L, x.R
 	}
-	outSchema := l.Schema.Concat(r.Schema)
-	lKeys, rKeys := []int(nil), []int(nil)
-	residual := cond
-	if !e.opts.ForceNestedLoop {
-		lKeys, rKeys, residual = EquiJoinPlan(cond, l.Schema, r.Schema)
+	x := q.(*ra.Join)
+	return x.L, x.R
+}
+
+// newJoinSpec plans a θ-join, natural join or planner-emitted equi-join
+// over the given input schemas.
+func newJoinSpec(q ra.Node, l, r relation.Schema, params map[string]relation.Value) (*joinSpec, error) {
+	if x, ok := q.(*ra.EquiJoin); ok {
+		// Positional keys, never a residual; the trailing Permute drops and
+		// reorders columns.
+		return &joinSpec{schema: l.Concat(r), lKeys: x.LKeys, rKeys: x.RKeys}, nil
 	}
-	var pred ra.CompiledExpr
+	x := q.(*ra.Join)
+	if x.Cond == nil {
+		shared, rOnly := ra.NaturalJoinCols(l, r)
+		attrs := make([]relation.Attribute, 0, len(l.Attrs)+len(rOnly))
+		attrs = append(attrs, l.Attrs...)
+		for _, j := range rOnly {
+			attrs = append(attrs, r.Attrs[j])
+		}
+		j := &joinSpec{schema: relation.Schema{Attrs: attrs}, natural: true, rOnly: rOnly,
+			lKeys: make([]int, len(shared)), rKeys: make([]int, len(shared))}
+		for i, p := range shared {
+			j.lKeys[i], j.rKeys[i] = p[0], p[1]
+		}
+		return j, nil
+	}
+	j := &joinSpec{schema: l.Concat(r)}
+	var residual ra.Expr
+	j.lKeys, j.rKeys, residual = EquiJoinPlan(x.Cond, l, r)
 	if residual != nil {
-		var err error
-		pred, err = ra.CompileExpr(residual, outSchema, e.params)
+		pred, err := ra.CompileExpr(residual, j.schema, params)
 		if err != nil {
 			return nil, err
 		}
+		j.pred = pred
 	}
-	out := NewRel[T](outSchema)
-	// combine builds the output tuple for a candidate pair, applying the
-	// residual θ-condition; it is shared by the serial and parallel paths
-	// (the compiled predicate closures are stateless and safe to share).
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
-		t := l.Tuples[li].Concat(r.Tuples[ri])
-		if pred != nil {
-			v, err := pred(t)
-			if err != nil {
-				return nil, false, err
-			}
-			if !ra.Truthy(v) {
-				return nil, false, nil
-			}
+	return j, nil
+}
+
+// pair builds the output tuple of two key-matched input tuples, reporting
+// false when the residual θ-condition rejects them. The compiled predicate
+// closures are stateless, so the parallel join shares one spec.
+func (j *joinSpec) pair(lt, rt relation.Tuple) (relation.Tuple, bool, error) {
+	if j.natural {
+		return lt.Concat(rt.Project(j.rOnly)), true, nil
+	}
+	t := lt.Concat(rt)
+	if j.pred != nil {
+		v, err := j.pred(t)
+		if err != nil {
+			return nil, false, err
 		}
-		return t, true, nil
+		if !ra.Truthy(v) {
+			return nil, false, nil
+		}
+	}
+	return t, true, nil
+}
+
+// joinNode evaluates a θ-join, natural join or planner-emitted equi-join
+// node.
+func (e *exec[T]) joinNode(q ra.Node) (*Rel[T], error) {
+	lq, rq := joinInputs(q)
+	l, err := e.node(lq)
+	if err != nil {
+		return nil, err
+	}
+	r, err := e.node(rq)
+	if err != nil {
+		return nil, err
+	}
+	j, ok := e.plans[q].(*joinIndex)
+	if !ok {
+		spec, err := newJoinSpec(q, l.Schema, r.Schema, e.params)
+		if err != nil {
+			return nil, err
+		}
+		j = &joinIndex{spec: spec}
+		if e.plans != nil && len(spec.lKeys) > 0 {
+			j.lIdx = make(map[string][]int, l.Len())
+			j.lSynced = indexKeys(j.lIdx, l, spec.lKeys, 0)
+			j.rIdx = make(map[string][]int, r.Len())
+			j.rSynced = indexKeys(j.rIdx, r, spec.rKeys, 0)
+		}
+		e.keep(q, j)
+	}
+	res, err := e.join(j.spec, l, r, j.rIdx)
+	if err != nil {
+		return nil, err
+	}
+	if x, ok := q.(*ra.EquiJoin); ok {
+		e.opts.Observer.observe(x, res.Len())
+	}
+	return res, nil
+}
+
+// join evaluates a join plan: a hash join on the equi-keys when there are
+// any (partitioned across workers above the parallel threshold), nested
+// loops otherwise. rIdx, when non-nil, is the hash join's key index over r,
+// already built.
+func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T], error) {
+	if j.natural && len(j.lKeys) == 0 && crossExceedsBudget(l.Len(), r.Len(), e.opts.rowBudget()) {
+		return nil, ErrRowBudget
+	}
+	out := NewRel[T](j.schema)
+	if l.Len() == 0 || r.Len() == 0 {
+		return out, nil
+	}
+	combine := func(li, ri int) (relation.Tuple, bool, error) {
+		return j.pair(l.Tuples[li], r.Tuples[ri])
 	}
 	var pairs int
 	emit := func(li, ri int) error {
-		// Stride-poll the stop hook: emit sees every probed pair (the
-		// θ-predicate runs inside combine), so this bounds a deadline
-		// overshoot inside one join to stopPollStride pairs.
+		// Stride-poll the stop hook: emit sees every probed pair, so this
+		// bounds a deadline overshoot inside one join to stopPollStride
+		// pairs.
 		if pairs++; pairs%stopPollStride == 0 {
 			if err := e.opts.poll(); err != nil {
 				return err
 			}
 		}
-		t, ok, err := combine(li, ri)
-		if err != nil || !ok {
-			return err
+		// With a θ-predicate the pair is tested before the ⊗-product:
+		// Times can be expensive (why-provenance allocates an And node), so
+		// rejected pairs — the bulk of a nested-loop θ-join — must not pay
+		// for it. Without one the zero-product prune runs first and saves
+		// the output tuple of pruned pairs.
+		var t relation.Tuple
+		if j.pred != nil {
+			var ok bool
+			var err error
+			if t, ok, err = combine(li, ri); err != nil || !ok {
+				return err
+			}
 		}
 		// Definitely-zero ⊗-products are pruned (bitvector annotations of
 		// disjoint candidate sets AND to zero) and do not count against the
-		// row budget. The product is computed only after the θ-predicate
-		// passes: Times can be expensive (why-provenance allocates an And
-		// node), so rejected pairs — the bulk of a nested-loop θ-join —
-		// must not pay for it.
+		// row budget.
 		ann := e.s.Times(l.Anns[li], r.Anns[ri])
 		if e.s.IsZero(ann) {
 			return nil
@@ -75,15 +187,23 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 		if out.Len() >= e.opts.rowBudget() {
 			return ErrRowBudget
 		}
-		// Distinct pairs of distinct inputs concatenate to distinct tuples.
+		if t == nil {
+			t, _, _ = combine(li, ri)
+		}
+		// Distinct pairs of distinct inputs form distinct tuples (a natural
+		// join's matched pair agrees on the shared columns).
 		out.appendDistinct(t, ann)
 		return nil
 	}
-	if len(lKeys) > 0 {
+	if len(j.lKeys) > 0 {
 		if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
-			return out, parallelHashJoin(e.s, l, r, lKeys, rKeys, w, e.opts.rowBudget(), e.opts.Stop, combine, out)
+			return out, parallelHashJoin(e.s, l, r, j.lKeys, j.rKeys, w, e.opts.rowBudget(), e.opts.Stop, combine, out)
 		}
-		return out, hashJoin(l, r, lKeys, rKeys, emit)
+		if rIdx == nil {
+			rIdx = make(map[string][]int, r.Len())
+			indexKeys(rIdx, r, j.rKeys, 0)
+		}
+		return out, hashJoin(l, rIdx, j.lKeys, emit)
 	}
 	for li := range l.Tuples {
 		for ri := range r.Tuples {
@@ -95,107 +215,34 @@ func (e *exec[T]) join(l, r *Rel[T], cond ra.Expr) (*Rel[T], error) {
 	return out, nil
 }
 
-// hashJoin builds a hash table over the right input's key columns and probes
-// it with the left input's, invoking emit for every key match. Tuples with
-// NULLs in any key column never join (SQL equality semantics).
-func hashJoin[T any](l, r *Rel[T], lKeys, rKeys []int, emit func(li, ri int) error) error {
-	idx := make(map[string][]int, r.Len())
-	for i, rt := range r.Tuples {
-		k := rt.Project(rKeys)
-		if hasNullValue(k) {
-			continue
+// indexKeys adds positions from..rel.Len() of rel to a join-key index (key
+// → positions) and returns rel.Len(), the index's new watermark. Tuples with
+// NULLs in any key column never join (SQL equality semantics) and stay out.
+func indexKeys[T any](idx map[string][]int, rel *Rel[T], keys []int, from int) int {
+	for i := from; i < rel.Len(); i++ {
+		k := rel.Tuples[i].Project(keys)
+		if !hasNullValue(k) {
+			idx[k.Key()] = append(idx[k.Key()], i)
 		}
-		idx[k.Key()] = append(idx[k.Key()], i)
 	}
+	return rel.Len()
+}
+
+// hashJoin probes the right input's key index with the left input's key
+// columns, invoking emit for every key match.
+func hashJoin[T any](l *Rel[T], rIdx map[string][]int, lKeys []int, emit func(li, ri int) error) error {
 	for li, lt := range l.Tuples {
 		k := lt.Project(lKeys)
 		if hasNullValue(k) {
 			continue
 		}
-		for _, ri := range idx[k.Key()] {
+		for _, ri := range rIdx[k.Key()] {
 			if err := emit(li, ri); err != nil {
 				return err
 			}
 		}
 	}
 	return nil
-}
-
-func (e *exec[T]) naturalJoin(l, r *Rel[T]) (*Rel[T], error) {
-	shared, rOnly := ra.NaturalJoinCols(l.Schema, r.Schema)
-	attrs := make([]relation.Attribute, 0, len(l.Schema.Attrs)+len(rOnly))
-	attrs = append(attrs, l.Schema.Attrs...)
-	for _, j := range rOnly {
-		attrs = append(attrs, r.Schema.Attrs[j])
-	}
-	out := NewRel[T](relation.Schema{Attrs: attrs})
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
-		return l.Tuples[li].Concat(r.Tuples[ri].Project(rOnly)), true, nil
-	}
-	var pairs int
-	emit := func(li, ri int) error {
-		if pairs++; pairs%stopPollStride == 0 {
-			if err := e.opts.poll(); err != nil {
-				return err
-			}
-		}
-		// Unlike the θ-join emit there is no predicate to wait for (every
-		// matched pair emits), so the zero-product prune runs first and
-		// saves the output tuple construction for pruned pairs.
-		ann := e.s.Times(l.Anns[li], r.Anns[ri])
-		if e.s.IsZero(ann) {
-			return nil
-		}
-		if out.Len() >= e.opts.rowBudget() {
-			return ErrRowBudget
-		}
-		t, _, _ := combine(li, ri)
-		// Distinct: a matching pair agrees on the shared columns, so two
-		// pairs producing the same output tuple would be identical inputs.
-		out.appendDistinct(t, ann)
-		return nil
-	}
-	if len(shared) == 0 {
-		// Cross product.
-		if crossExceedsBudget(l.Len(), r.Len(), e.opts.rowBudget()) {
-			return nil, ErrRowBudget
-		}
-		for li := range l.Tuples {
-			for ri := range r.Tuples {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-	lCols := make([]int, len(shared))
-	rCols := make([]int, len(shared))
-	for i, p := range shared {
-		lCols[i], rCols[i] = p[0], p[1]
-	}
-	if e.opts.ForceNestedLoop {
-		for li, lt := range l.Tuples {
-			k := lt.Project(lCols)
-			if hasNullValue(k) {
-				continue
-			}
-			for ri, rt := range r.Tuples {
-				rk := rt.Project(rCols)
-				if hasNullValue(rk) || !k.Identical(rk) {
-					continue
-				}
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return out, nil
-	}
-	if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
-		return out, parallelHashJoin(e.s, l, r, lCols, rCols, w, e.opts.rowBudget(), e.opts.Stop, combine, out)
-	}
-	return out, hashJoin(l, r, lCols, rCols, emit)
 }
 
 // union hash-merges both inputs, ⊕-combining annotations of identical
@@ -222,37 +269,12 @@ func (e *exec[T]) union(l, r *Rel[T]) *Rel[T] {
 		_ = parallelBuild(e.s, w, nl+r.Len(), tupleAt, annAt, out)
 		return out
 	}
-	for i, t := range l.Tuples {
-		out.Add(e.s, t, l.Anns[i])
-	}
-	for i, t := range r.Tuples {
-		out.Add(e.s, t, r.Anns[i])
-	}
-	return out
-}
-
-// diffSerial is the serial hash difference body, shared with the
-// nested-loop fallback.
-func (e *exec[T]) diffSerial(l, r *Rel[T]) *Rel[T] {
-	out := NewRelCap[T](l.Schema, l.Len())
-	for i, t := range l.Tuples {
-		rAnn := e.s.Zero()
-		if e.opts.ForceNestedLoop {
-			for j, rt := range r.Tuples {
-				if rt.Identical(t) {
-					rAnn = r.Anns[j]
-					break
-				}
+	for _, in := range []*Rel[T]{l, r} {
+		for i, t := range in.Tuples {
+			if !e.s.IsZero(in.Anns[i]) {
+				out.Add(e.s, t, in.Anns[i])
 			}
-		} else if j := r.Lookup(t); j >= 0 {
-			rAnn = r.Anns[j]
 		}
-		ann := e.s.Minus(l.Anns[i], rAnn)
-		if e.s.IsZero(ann) {
-			continue
-		}
-		// Output is a subset of the distinct left input.
-		out.appendDistinct(t, ann)
 	}
 	return out
 }
@@ -266,36 +288,23 @@ func (e *exec[T]) diffSerial(l, r *Rel[T]) *Rel[T] {
 // identical, so they land in the same shard) and the shards are differenced
 // concurrently.
 func (e *exec[T]) diff(l, r *Rel[T]) *Rel[T] {
-	if !e.opts.ForceNestedLoop {
-		if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
-			return parallelDiff(e.s, l, r, w)
-		}
+	if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
+		return parallelDiff(e.s, l, r, w)
 	}
-	return e.diffSerial(l, r)
-}
-
-// Intersect is the hash intersection L ∩ R: tuples present in both inputs,
-// annotated with the ⊗-product of their annotations. The relational algebra
-// of the paper has no intersection operator (q1 ∩ q2 ≡ q1 − (q1 − q2)), so
-// the evaluator never emits this; it completes the physical set-operator
-// family for engine clients.
-func Intersect[T any](s Semiring[T], l, r *Rel[T]) (*Rel[T], error) {
-	if !l.Schema.UnionCompatible(r.Schema) {
-		return nil, fmt.Errorf("engine: intersection of incompatible schemas %s, %s", l.Schema, r.Schema)
-	}
-	out := NewRel[T](l.Schema)
+	out := NewRelCap[T](l.Schema, l.Len())
 	for i, t := range l.Tuples {
-		j := r.Lookup(t)
-		if j < 0 {
+		rAnn := e.s.Zero()
+		if j := r.Lookup(t); j >= 0 {
+			rAnn = r.Anns[j]
+		}
+		ann := e.s.Minus(l.Anns[i], rAnn)
+		if e.s.IsZero(ann) {
 			continue
 		}
-		ann := s.Times(l.Anns[i], r.Anns[j])
-		if s.IsZero(ann) {
-			continue
-		}
+		// Output is a subset of the distinct left input.
 		out.appendDistinct(t, ann)
 	}
-	return out, nil
+	return out
 }
 
 // crossExceedsBudget reports whether l*r > budget without computing the

@@ -19,7 +19,7 @@ import (
 // plans biased toward multi-way join regions: natural join chains, θ-chains
 // and stars with renamed self-joins, NULL join keys, Diff towers over and
 // under regions, and γ barriers. It also covers the planner's interaction
-// with EvalBatchDiffs, PrepareDiff/EvalDelta and the parallel operators, and
+// with EvalBatchDiffs, PrepareDiff/ApplyDelta and the parallel operators, and
 // unit-tests the GYO reduction, the statistics provider, the join-graph
 // extraction, and the pre-execution row-budget refusal.
 
@@ -298,13 +298,13 @@ func TestPlannerPreparedDiff(t *testing.T) {
 					removed = append(removed, id)
 				}
 			}
-			rOn, err := pOn.EvalDelta(removed)
+			rOn, err := pOn.ApplyDelta(removed, nil)
 			if err != nil {
-				t.Fatalf("trial %d: planned EvalDelta: %v", trial, err)
+				t.Fatalf("trial %d: planned ApplyDelta: %v", trial, err)
 			}
-			rOff, err := pOff.EvalDelta(removed)
+			rOff, err := pOff.ApplyDelta(removed, nil)
 			if err != nil {
-				t.Fatalf("trial %d: unplanned EvalDelta: %v", trial, err)
+				t.Fatalf("trial %d: unplanned ApplyDelta: %v", trial, err)
 			}
 			on12, err1 := rOn.Diff12()
 			on21, err2 := rOn.Diff21()

@@ -8,25 +8,28 @@ import (
 	"repro/internal/relation"
 )
 
-// This file is the delta-incremental evaluation subsystem: PrepareDiff
-// evaluates Q1 and Q2 once on the full database under the counting semiring
-// and retains per-operator state — base-scan relations with a TupleID →
-// position map, join hash tables partitioned by join key, the output (with
-// its lazily-built tuple index) of every union/difference node, and per-group
-// membership for γ. PreparedDiff.ApplyDelta (delta.go) then answers "what do
-// Q1 − Q2 and Q2 − Q1 look like after this update" — deletions, insertions,
-// and updates expressed as delete+insert — by propagating only the signed
-// delta up the operator DAG:
+// This file is the delta-incremental evaluation subsystem. PrepareDiff
+// evaluates Q1 − Q2 and Q2 − Q1 once on the full database, in one exec under
+// the counting semiring in retained mode: the exec keeps every plan node's
+// output (base scans are shared between the queries by relation name).
+// PreparedDiff.ApplyDelta (delta.go) then answers "what do Q1 − Q2 and
+// Q2 − Q1 look like after this update" — deletions, insertions, and updates
+// expressed as delete+insert — by running the same plan again under zsum,
+// the exact ring ℤ of signed count changes, so that every node yields the
+// change of its output instead of the output. σ, π, ρ, ∪ and the planner's
+// Permute are linear: their change is the generic operator applied to their
+// children's changes. Only four operators keep delta rules, which read the
+// retained outputs:
 //
 //   - scans translate removed ids into per-tuple count decrements and
 //     inserted tuples into increments,
-//   - joins probe the retained hash table of the *other* side
-//     (Δ(L⋈R) = ΔL⋈R + L⋈ΔR + ΔL⋈ΔR over signed counts),
-//   - unions add the child deltas,
+//   - joins expand Δ(L⋈R) = ΔL⋈R + L⋈ΔR + ΔL⋈ΔR: the first two terms probe
+//     a retained key index of the other side, the last is the generic join
+//     of the two changes,
 //   - differences re-derive only the tuples whose left or right count
 //     changed, from the retained child outputs (the Section-6 rule is not
 //     linear, so the delta consults old and new counts),
-//   - γ re-aggregates only the groups whose support intersects the delta.
+//   - γ re-aggregates only the groups whose support intersects the change.
 //
 // Derivation counts are the bookkeeping that makes deletion cheap: a deleted
 // input tuple decrements the counts it contributed to, and an output tuple
@@ -38,14 +41,15 @@ import (
 // A DeltaResult is evaluated against the prepared object's current base
 // instance (initially D). Commit folds the delta into the retained state, so
 // a shrink loop pays O(|step delta|) per iteration instead of re-evaluating
-// the whole query; uncommitted results are independent, which is what the
-// candidate accept/reject checks need.
+// the whole query; uncommitted results are independent, which is what
+// what-if checks need.
 
 // ErrNotIncremental is returned by PrepareDiff — and by ApplyDelta for
 // updates that would break the invariant afterwards — when the plan or its
-// evaluation state cannot be maintained incrementally (currently: derivation
-// counts beyond maxSafeCount, where exact count arithmetic could overflow).
-// Callers fall back to the batch or per-candidate path, or re-prepare.
+// evaluation state cannot be maintained incrementally (derivation counts
+// beyond maxSafeCount, where exact count arithmetic could overflow, or a
+// semi-join-reduced plan). Callers fall back to full evaluation, or
+// re-prepare.
 var ErrNotIncremental = errors.New("engine: plan is not delta-incrementalizable")
 
 // ErrStaleDelta is returned by DeltaResult.Commit when the prepared state
@@ -87,34 +91,6 @@ func exactMul(a, b Count) Count {
 	return a * b
 }
 
-// deltaCtx carries one ApplyDelta computation: the (sorted, deduplicated,
-// still-live) removed ids, the inserted tuples bucketed by base relation,
-// and the per-node memoized deltas. Nodes are shared between the two
-// difference directions and between Q1 and Q2 (base scans), so memoization
-// keeps every node's delta computed exactly once per call.
-type deltaCtx struct {
-	removed  []relation.TupleID
-	inserted map[string][]relation.Tuple
-	poll     func() error // budget stop hook, polled via pollStep
-	ops      int
-	memo     map[pnode]*Rel[Count]
-	aux      map[pnode][]groupChange
-}
-
-// pnode is one prepared operator: retained base output plus delta/commit.
-type pnode interface {
-	// rel is the retained output on the current base instance. It may
-	// contain zombie entries (count 0) left behind by committed deletions;
-	// consumers must read counts, never assume presence implies membership.
-	rel() *Rel[Count]
-	// delta computes the signed count changes this operator's output
-	// undergoes for ctx's update (removed ids + inserted tuples), memoized
-	// in ctx.
-	delta(ctx *deltaCtx) (*Rel[Count], error)
-	// commit folds the memoized delta of ctx into the retained state.
-	commit(ctx *deltaCtx)
-}
-
 // countOf reads a tuple's retained count (0 when absent or zombie).
 func countOf(r *Rel[Count], t relation.Tuple) Count {
 	if i := r.Lookup(t); i >= 0 {
@@ -128,10 +104,7 @@ func deltaOf(d *Rel[Count], t relation.Tuple) Count {
 	if d == nil {
 		return 0
 	}
-	if i := d.Lookup(t); i >= 0 {
-		return d.Anns[i]
-	}
-	return 0
+	return countOf(d, t)
 }
 
 // applyDelta folds signed count changes into a retained output. Tuples whose
@@ -152,928 +125,63 @@ func applyDelta(base *Rel[Count], d *Rel[Count]) {
 	}
 }
 
-// pscan is a retained base-relation scan: the deduplicated annotated scan
-// output plus the id → output-position map deletions are translated
-// through. Insertions enter here as +1 count increments; Commit registers
-// their freshly-assigned ids in pos.
-type pscan struct {
-	name string
-	out  *Rel[Count]
-	pos  map[relation.TupleID]int
-}
-
-func (n *pscan) rel() *Rel[Count] { return n.out }
-
-func (n *pscan) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	d := NewRel[Count](n.out.Schema)
-	for _, id := range ctx.removed {
-		p, ok := n.pos[id]
-		if !ok {
-			continue // a tuple of some other relation
-		}
-		d.Add(zsum, n.out.Tuples[p], -1)
-	}
-	for _, t := range ctx.inserted[n.name] {
-		d.Add(zsum, t, 1)
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *pscan) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// pselect filters the child delta through the retained compiled predicate.
-type pselect struct {
-	in   pnode
-	pred ra.CompiledExpr
-	out  *Rel[Count]
-}
-
-func (n *pselect) rel() *Rel[Count] { return n.out }
-
-func (n *pselect) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	din, err := n.in.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := NewRel[Count](n.out.Schema)
-	for i, t := range din.Tuples {
-		c := din.Anns[i]
-		if c == 0 {
-			continue
-		}
-		v, err := n.pred(t)
-		if err != nil {
-			return nil, err
-		}
-		if ra.Truthy(v) {
-			d.Add(zsum, t, c)
-		}
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *pselect) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// pproject projects the child delta, merging counts of collapsing tuples.
-type pproject struct {
-	in   pnode
-	idxs []int
-	out  *Rel[Count]
-}
-
-func (n *pproject) rel() *Rel[Count] { return n.out }
-
-func (n *pproject) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	din, err := n.in.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := NewRel[Count](n.out.Schema)
-	for i, t := range din.Tuples {
-		if c := din.Anns[i]; c != 0 {
-			d.Add(zsum, t.Project(n.idxs), c)
-		}
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *pproject) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// prename requalifies the child delta's schema; tuple values are unchanged,
-// so the delta aliases the child's (deltas are read-only once built).
-type prename struct {
-	in  pnode
-	out *Rel[Count]
-}
-
-func (n *prename) rel() *Rel[Count] { return n.out }
-
-func (n *prename) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	din, err := n.in.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := &Rel[Count]{Schema: n.out.Schema, Tuples: din.Tuples, Anns: din.Anns, index: din.index}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *prename) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// punion adds the two child deltas.
-type punion struct {
-	l, r pnode
-	out  *Rel[Count]
-}
-
-func (n *punion) rel() *Rel[Count] { return n.out }
-
-func (n *punion) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	dl, err := n.l.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := n.r.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := NewRel[Count](n.out.Schema)
-	for i, t := range dl.Tuples {
-		if c := dl.Anns[i]; c != 0 {
-			d.Add(zsum, t, c)
-		}
-	}
-	for i, t := range dr.Tuples {
-		if c := dr.Anns[i]; c != 0 {
-			d.Add(zsum, t, c)
-		}
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *punion) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// pjoin retains both children's join-key hash tables and expands
-// Δ(L⋈R) = ΔL⋈R + L⋈ΔR + ΔL⋈ΔR: each delta side probes the *other* side's
-// retained table, and the cross term pairs the two (small) deltas. With no
-// equi keys (cross products, residual-only θ-joins) the probes degrade to a
-// scan of the other side's retained output — still proportional to one
-// side's size, not the whole plan.
-type pjoin struct {
-	l, r         pnode
-	lKeys, rKeys []int // equi-join key columns; empty → no hash keys
-	natural      bool
-	rOnly        []int           // natural join: right-side columns appended
-	pred         ra.CompiledExpr // residual θ-condition over the concat, or nil
-	out          *Rel[Count]
-	lIdx, rIdx   map[string][]int
-	lSynced      int // child output positions already indexed
-	rSynced      int
-}
-
-func (n *pjoin) rel() *Rel[Count] { return n.out }
-
-// sync indexes child output positions appended by commits since the last
-// delta (tuples resurrected through a Diff keep their old, already-indexed
-// position; only genuinely new tuples appear past the watermark).
-func (n *pjoin) sync() {
-	if len(n.lKeys) == 0 {
-		return
-	}
-	lrel, rrel := n.l.rel(), n.r.rel()
-	for i := n.lSynced; i < lrel.Len(); i++ {
-		k := lrel.Tuples[i].Project(n.lKeys)
-		if !hasNullValue(k) {
-			n.lIdx[k.Key()] = append(n.lIdx[k.Key()], i)
-		}
-	}
-	n.lSynced = lrel.Len()
-	for i := n.rSynced; i < rrel.Len(); i++ {
-		k := rrel.Tuples[i].Project(n.rKeys)
-		if !hasNullValue(k) {
-			n.rIdx[k.Key()] = append(n.rIdx[k.Key()], i)
-		}
-	}
-	n.rSynced = rrel.Len()
-}
-
-// outTuple builds the output tuple for a matched pair.
-func (n *pjoin) outTuple(lt, rt relation.Tuple) relation.Tuple {
-	if n.natural {
-		return lt.Concat(rt.Project(n.rOnly))
-	}
-	return lt.Concat(rt)
-}
-
-// emitDelta adds one pair's signed contribution, applying the residual
-// θ-condition. It polls the budget stop hook: the pair loops are the delta
-// propagation's only superlinear work (an inserted tuple can match
-// everything on the other side), so this is where a wide delta must stay
-// interruptible.
-func (n *pjoin) emitDelta(ctx *deltaCtx, d *Rel[Count], lt, rt relation.Tuple, c Count) error {
-	if err := ctx.pollStep(); err != nil {
-		return err
-	}
-	if c == 0 {
-		return nil
-	}
-	if n.pred != nil {
-		v, err := n.pred(lt.Concat(rt))
-		if err != nil {
-			return err
-		}
-		if !ra.Truthy(v) {
-			return nil
-		}
-	}
-	d.Add(zsum, n.outTuple(lt, rt), c)
-	return nil
-}
-
-func (n *pjoin) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	dl, err := n.l.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := n.r.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n.sync()
-	d := NewRel[Count](n.out.Schema)
-	lrel, rrel := n.l.rel(), n.r.rel()
-	keyed := len(n.lKeys) > 0
-	// ΔL ⋈ R (retained right state).
-	for i, lt := range dl.Tuples {
-		c := dl.Anns[i]
-		if c == 0 {
-			continue
-		}
-		if keyed {
-			k := lt.Project(n.lKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, ri := range n.rIdx[k.Key()] {
-				if err := n.emitDelta(ctx, d, lt, rrel.Tuples[ri], exactMul(c, rrel.Anns[ri])); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		for ri := range rrel.Tuples {
-			if err := n.emitDelta(ctx, d, lt, rrel.Tuples[ri], exactMul(c, rrel.Anns[ri])); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// L (retained left state) ⋈ ΔR.
-	for j, rt := range dr.Tuples {
-		c := dr.Anns[j]
-		if c == 0 {
-			continue
-		}
-		if keyed {
-			k := rt.Project(n.rKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, li := range n.lIdx[k.Key()] {
-				if err := n.emitDelta(ctx, d, lrel.Tuples[li], rt, exactMul(lrel.Anns[li], c)); err != nil {
-					return nil, err
-				}
-			}
-			continue
-		}
-		for li := range lrel.Tuples {
-			if err := n.emitDelta(ctx, d, lrel.Tuples[li], rt, exactMul(lrel.Anns[li], c)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// ΔL ⋈ ΔR: both sides changed; the product of two (negative) deletions
-	// adds back the doubly-subtracted pairs.
-	for i, lt := range dl.Tuples {
-		ci := dl.Anns[i]
-		if ci == 0 {
-			continue
-		}
-		var lk relation.Tuple
-		if keyed {
-			lk = lt.Project(n.lKeys)
-			if hasNullValue(lk) {
-				continue
-			}
-		}
-		for j, rt := range dr.Tuples {
-			cj := dr.Anns[j]
-			if cj == 0 {
-				continue
-			}
-			if keyed {
-				rk := rt.Project(n.rKeys)
-				if hasNullValue(rk) || !lk.Identical(rk) {
-					continue
-				}
-			}
-			if err := n.emitDelta(ctx, d, lt, rt, exactMul(ci, cj)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *pjoin) commit(ctx *deltaCtx) { applyDelta(n.out, ctx.memo[n]) }
-
-// pdiff applies the counting-semiring Section-6 difference rule
-// out(t) = L(t) if R(t) == 0 else 0. The rule is not linear, so the delta
-// re-derives exactly the tuples whose left or right count changed, reading
-// old counts from the retained child outputs. live tracks the support size
-// so emptiness checks are O(1).
-type pdiff struct {
-	l, r pnode
-	out  *Rel[Count]
-	live int
-}
-
-func (n *pdiff) rel() *Rel[Count] { return n.out }
-
-func (n *pdiff) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	dl, err := n.l.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	dr, err := n.r.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := NewRel[Count](n.out.Schema)
-	lrel, rrel := n.l.rel(), n.r.rel()
-	seen := map[string]bool{}
-	process := func(t relation.Tuple) {
-		k := t.Key()
-		if seen[k] {
-			return
-		}
-		seen[k] = true
-		oldL := countOf(lrel, t)
-		oldR := countOf(rrel, t)
-		newL := exactAdd(oldL, deltaOf(dl, t))
-		newR := exactAdd(oldR, deltaOf(dr, t))
-		oldOut, newOut := oldL, newL
-		if oldR != 0 {
-			oldOut = 0
-		}
-		if newR != 0 {
-			newOut = 0
-		}
-		if ch := newOut - oldOut; ch != 0 {
-			d.Add(zsum, t, ch)
-		}
-	}
-	for _, t := range dl.Tuples {
-		process(t)
-	}
-	for _, t := range dr.Tuples {
-		process(t)
-	}
-	ctx.memo[n] = d
-	return d, nil
-}
-
-func (n *pdiff) commit(ctx *deltaCtx) {
-	d := ctx.memo[n]
-	for i, t := range d.Tuples {
-		ch := d.Anns[i]
-		if ch == 0 {
-			continue
-		}
-		old := countOf(n.out, t)
-		now := exactAdd(old, ch)
-		switch {
-		case old == 0 && now != 0:
-			n.live++
-		case old != 0 && now == 0:
-			n.live--
-		}
-	}
-	applyDelta(n.out, d)
-}
-
-// groupChange records one affected group for commit: the key and its new
-// output row (nil when the group's support emptied).
-type groupChange struct {
-	key string
-	row relation.Tuple
-}
-
-// pgroup retains γ's group membership (group key → input output positions)
-// and the current output row per live group. A delta re-aggregates only the
-// groups whose support intersects the changed input tuples; untouched groups
-// keep their retained rows.
-type pgroup struct {
-	in        pnode
-	aggs      []ra.AggSpec
-	gIdx      []int
-	aIdx      []int
-	out       *Rel[Count]
-	groups    map[string][]int
-	keyTuples map[string]relation.Tuple
-	rows      map[string]relation.Tuple
-	inSynced  int
-}
-
-func (n *pgroup) rel() *Rel[Count] { return n.out }
-
-// sync assigns input positions appended since the last delta to groups.
-func (n *pgroup) sync() {
-	inrel := n.in.rel()
-	for p := n.inSynced; p < inrel.Len(); p++ {
-		key := inrel.Tuples[p].Project(n.gIdx)
-		ks := key.Key()
-		if _, ok := n.keyTuples[ks]; !ok {
-			n.keyTuples[ks] = key
-		}
-		n.groups[ks] = append(n.groups[ks], p)
-	}
-	n.inSynced = inrel.Len()
-}
-
-func (n *pgroup) delta(ctx *deltaCtx) (*Rel[Count], error) {
-	if d, ok := ctx.memo[n]; ok {
-		return d, nil
-	}
-	din, err := n.in.delta(ctx)
-	if err != nil {
-		return nil, err
-	}
-	n.sync()
-	inrel := n.in.rel()
-	d := NewRel[Count](n.out.Schema)
-	var changes []groupChange
-	var affected []string
-	seenKey := map[string]bool{}
-	// One pass over the input delta collects the affected group keys and
-	// buckets fresh tuples — delta tuples entering the input for the first
-	// time (possible when a Diff below resurrects a tuple) — per key, so the
-	// per-group work below is linear in the delta instead of rescanning the
-	// whole delta once per affected group.
-	fresh := map[string][]relation.Tuple{}
-	for i, t := range din.Tuples {
-		key := t.Project(n.gIdx)
-		ks := key.Key()
-		if !seenKey[ks] {
-			seenKey[ks] = true
-			affected = append(affected, ks)
-			if _, ok := n.keyTuples[ks]; !ok {
-				n.keyTuples[ks] = key
-			}
-		}
-		if din.Anns[i] > 0 && inrel.Lookup(t) < 0 {
-			fresh[ks] = append(fresh[ks], t)
-		}
-	}
-	for _, ks := range affected {
-		// Current support of the group: retained members whose new count
-		// stays positive, plus the fresh tuples bucketed above.
-		var members []relation.Tuple
-		for _, p := range n.groups[ks] {
-			if err := ctx.pollStep(); err != nil {
-				return nil, err
-			}
-			t := inrel.Tuples[p]
-			if exactAdd(inrel.Anns[p], deltaOf(din, t)) > 0 {
-				members = append(members, t)
-			}
-		}
-		members = append(members, fresh[ks]...)
-		var newRow relation.Tuple
-		if len(members) > 0 {
-			row := n.keyTuples[ks].Clone()
-			for i, a := range n.aggs {
-				v, err := computeAgg(a.Func, n.aIdx[i], members)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, v)
-			}
-			newRow = row
-		}
-		oldRow := n.rows[ks]
-		if oldRow == nil && newRow == nil {
-			continue
-		}
-		if oldRow != nil && newRow != nil && oldRow.Identical(newRow) {
-			continue
-		}
-		if oldRow != nil {
-			d.Add(zsum, oldRow, -1)
-		}
-		if newRow != nil {
-			d.Add(zsum, newRow, 1)
-		}
-		changes = append(changes, groupChange{key: ks, row: newRow})
-	}
-	ctx.memo[n] = d
-	ctx.aux[n] = changes
-	return d, nil
-}
-
-func (n *pgroup) commit(ctx *deltaCtx) {
-	applyDelta(n.out, ctx.memo[n])
-	for _, ch := range ctx.aux[n] {
-		if ch.row == nil {
-			delete(n.rows, ch.key)
-			continue
-		}
-		n.rows[ch.key] = ch.row
-	}
-}
-
-// pbuilder constructs the prepared operator DAG and its base evaluation.
-// Base scans are cached by relation name, so Q1 and Q2 (and self-joins)
-// share one retained scan per relation — the same sharing the batch layer's
-// per-exec scan cache provides, but persistent.
-type pbuilder struct {
-	db     *relation.Database
-	params map[string]relation.Value
-	opts   Options
-	scans  map[string]*pscan
-	nodes  []pnode // children before parents (commit order is irrelevant,
-	// but a deterministic walk keeps Commit reproducible)
-}
-
-func (b *pbuilder) add(n pnode) pnode {
-	b.nodes = append(b.nodes, n)
-	return n
-}
-
-func (b *pbuilder) build(q ra.Node) (pnode, error) {
-	if err := b.opts.poll(); err != nil {
-		return nil, err
-	}
-	switch x := q.(type) {
-	case *ra.Rel:
-		return b.buildScan(x)
-	case *ra.Select:
-		in, err := b.build(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return b.buildSelect(x, in)
-	case *ra.Project:
-		in, err := b.build(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return b.buildProject(x, in)
-	case *ra.Rename:
-		in, err := b.build(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return b.add(&prename{in: in, out: renameRel(in.rel(), x.As)}), nil
-	case *ra.Join:
-		l, err := b.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return b.buildJoin(x, l, r)
-	case *ra.Union:
-		l, err := b.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		if !l.rel().Schema.UnionCompatible(r.rel().Schema) {
-			return nil, fmt.Errorf("engine: union of incompatible schemas %s, %s", l.rel().Schema, r.rel().Schema)
-		}
-		n := &punion{l: l, r: r, out: NewRel[Count](l.rel().Schema)}
-		for i, t := range l.rel().Tuples {
-			n.out.Add(Counting, t, l.rel().Anns[i])
-		}
-		for i, t := range r.rel().Tuples {
-			n.out.Add(Counting, t, r.rel().Anns[i])
-		}
-		return b.add(n), nil
-	case *ra.Diff:
-		l, err := b.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		if !l.rel().Schema.UnionCompatible(r.rel().Schema) {
-			return nil, fmt.Errorf("engine: difference of incompatible schemas %s, %s", l.rel().Schema, r.rel().Schema)
-		}
-		return b.buildDiff(l, r), nil
-	case *ra.GroupBy:
-		in, err := b.build(x.In)
-		if err != nil {
-			return nil, err
-		}
-		return b.buildGroupBy(x, in)
-	case *ra.EquiJoin:
-		l, err := b.build(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.build(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return b.buildEquiJoin(x, l, r)
-	case *ra.Permute:
-		in, err := b.build(x.In)
-		if err != nil {
-			return nil, err
-		}
-		// A positional permutation is a pproject whose indices were never
-		// resolved by name.
-		n := &pproject{in: in, idxs: x.Idxs, out: NewRel[Count](in.rel().Schema.Project(x.Idxs))}
-		for i, t := range in.rel().Tuples {
-			n.out.Add(Counting, t.Project(x.Idxs), in.rel().Anns[i])
-		}
-		return b.add(n), nil
-	}
-	return nil, fmt.Errorf("engine: unknown node type %T", q)
-}
-
-func (b *pbuilder) buildScan(x *ra.Rel) (pnode, error) {
-	if n, ok := b.scans[x.Name]; ok {
-		return n, nil
-	}
-	r := b.db.Relation(x.Name)
-	if r == nil {
-		return nil, fmt.Errorf("engine: unknown relation %q", x.Name)
-	}
-	n := &pscan{name: x.Name, out: NewRel[Count](r.Schema), pos: make(map[relation.TupleID]int, r.Len())}
-	for i, t := range r.Tuples {
-		n.out.Add(Counting, t, 1)
-		n.pos[r.ID(i)] = n.out.Lookup(t)
-	}
-	b.scans[x.Name] = n
-	b.add(n)
-	return n, nil
-}
-
-func (b *pbuilder) buildSelect(x *ra.Select, in pnode) (pnode, error) {
-	pred, err := ra.CompileExpr(x.Pred, in.rel().Schema, b.params)
-	if err != nil {
-		return nil, err
-	}
-	n := &pselect{in: in, pred: pred, out: NewRelCap[Count](in.rel().Schema, in.rel().Len())}
-	for i, t := range in.rel().Tuples {
-		v, err := pred(t)
-		if err != nil {
-			return nil, err
-		}
-		if ra.Truthy(v) {
-			n.out.appendDistinct(t, in.rel().Anns[i])
-		}
-	}
-	return b.add(n), nil
-}
-
-func (b *pbuilder) buildProject(x *ra.Project, in pnode) (pnode, error) {
-	idxs, outSchema, err := projectPlan(x, in.rel().Schema)
-	if err != nil {
-		return nil, err
-	}
-	n := &pproject{in: in, idxs: idxs, out: NewRel[Count](outSchema)}
-	for i, t := range in.rel().Tuples {
-		n.out.Add(Counting, t.Project(idxs), in.rel().Anns[i])
-	}
-	return b.add(n), nil
-}
-
-func (b *pbuilder) buildJoin(x *ra.Join, l, r pnode) (pnode, error) {
-	lrel, rrel := l.rel(), r.rel()
-	n := &pjoin{l: l, r: r, lIdx: map[string][]int{}, rIdx: map[string][]int{}}
-	var outSchema relation.Schema
-	if x.Cond == nil {
-		shared, rOnly := ra.NaturalJoinCols(lrel.Schema, rrel.Schema)
-		attrs := make([]relation.Attribute, 0, len(lrel.Schema.Attrs)+len(rOnly))
-		attrs = append(attrs, lrel.Schema.Attrs...)
-		for _, j := range rOnly {
-			attrs = append(attrs, rrel.Schema.Attrs[j])
-		}
-		outSchema = relation.Schema{Attrs: attrs}
-		n.natural = true
-		n.rOnly = rOnly
-		n.lKeys = make([]int, len(shared))
-		n.rKeys = make([]int, len(shared))
-		for i, p := range shared {
-			n.lKeys[i], n.rKeys[i] = p[0], p[1]
-		}
-		if len(shared) == 0 && crossExceedsBudget(lrel.Len(), rrel.Len(), b.opts.rowBudget()) {
-			return nil, ErrRowBudget
-		}
-	} else {
-		outSchema = lrel.Schema.Concat(rrel.Schema)
-		var residual ra.Expr
-		n.lKeys, n.rKeys, residual = EquiJoinPlan(x.Cond, lrel.Schema, rrel.Schema)
-		if residual != nil {
-			pred, err := ra.CompileExpr(residual, outSchema, b.params)
-			if err != nil {
-				return nil, err
-			}
-			n.pred = pred
-		}
-	}
-	n.out = NewRel[Count](outSchema)
-	n.sync()
-	// Base evaluation: probe the retained right table in left order (the
-	// serial hash join's order) or fall back to nested loops.
-	var pairs int
-	emit := func(li, ri int) error {
-		if pairs++; pairs%stopPollStride == 0 {
-			if err := b.opts.poll(); err != nil {
-				return err
-			}
-		}
-		c := Counting.Times(lrel.Anns[li], rrel.Anns[ri])
-		if c == 0 {
-			return nil
-		}
-		lt, rt := lrel.Tuples[li], rrel.Tuples[ri]
-		if n.pred != nil {
-			v, err := n.pred(lt.Concat(rt))
-			if err != nil {
-				return err
-			}
-			if !ra.Truthy(v) {
-				return nil
-			}
-		}
-		if n.out.Len() >= b.opts.rowBudget() {
-			return ErrRowBudget
-		}
-		n.out.appendDistinct(n.outTuple(lt, rt), c)
-		return nil
-	}
-	if len(n.lKeys) > 0 {
-		for li, lt := range lrel.Tuples {
-			k := lt.Project(n.lKeys)
-			if hasNullValue(k) {
-				continue
-			}
-			for _, ri := range n.rIdx[k.Key()] {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
-			}
-		}
-	} else {
-		for li := range lrel.Tuples {
-			for ri := range rrel.Tuples {
-				if err := emit(li, ri); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-	return b.add(n), nil
-}
-
-// buildEquiJoin is buildJoin for a planner-emitted positional equi-join:
-// always keyed, never a residual predicate, full concatenation kept.
-func (b *pbuilder) buildEquiJoin(x *ra.EquiJoin, l, r pnode) (pnode, error) {
-	lrel, rrel := l.rel(), r.rel()
-	n := &pjoin{
-		l: l, r: r, lIdx: map[string][]int{}, rIdx: map[string][]int{},
-		lKeys: append([]int(nil), x.LKeys...),
-		rKeys: append([]int(nil), x.RKeys...),
-	}
-	n.out = NewRel[Count](lrel.Schema.Concat(rrel.Schema))
-	n.sync()
-	var pairs int
-	emit := func(li, ri int) error {
-		if pairs++; pairs%stopPollStride == 0 {
-			if err := b.opts.poll(); err != nil {
-				return err
-			}
-		}
-		c := Counting.Times(lrel.Anns[li], rrel.Anns[ri])
-		if c == 0 {
-			return nil
-		}
-		if n.out.Len() >= b.opts.rowBudget() {
-			return ErrRowBudget
-		}
-		n.out.appendDistinct(n.outTuple(lrel.Tuples[li], rrel.Tuples[ri]), c)
-		return nil
-	}
-	for li, lt := range lrel.Tuples {
-		k := lt.Project(n.lKeys)
-		if hasNullValue(k) {
-			continue
-		}
-		for _, ri := range n.rIdx[k.Key()] {
-			if err := emit(li, ri); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.add(n), nil
-}
-
-func (b *pbuilder) buildDiff(l, r pnode) pnode {
-	lrel, rrel := l.rel(), r.rel()
-	n := &pdiff{l: l, r: r, out: NewRelCap[Count](lrel.Schema, lrel.Len())}
-	for i, t := range lrel.Tuples {
-		ann := Counting.Minus(lrel.Anns[i], countOf(rrel, t))
-		if ann == 0 {
-			continue
-		}
-		n.out.appendDistinct(t, ann)
-	}
-	n.live = n.out.Len()
-	b.add(n)
-	return n
-}
-
-func (b *pbuilder) buildGroupBy(x *ra.GroupBy, in pnode) (pnode, error) {
-	gIdx, aIdx, outSchema, err := groupPlan(x, in.rel().Schema)
-	if err != nil {
-		return nil, err
-	}
-	n := &pgroup{
-		in: in, aggs: x.Aggs, gIdx: gIdx, aIdx: aIdx,
-		out:    NewRel[Count](outSchema),
-		groups: map[string][]int{}, keyTuples: map[string]relation.Tuple{},
-		rows: map[string]relation.Tuple{},
-	}
-	inrel := in.rel()
-	var order []string
-	for p, t := range inrel.Tuples {
-		key := t.Project(gIdx)
-		ks := key.Key()
-		if _, ok := n.keyTuples[ks]; !ok {
-			n.keyTuples[ks] = key
-			order = append(order, ks)
-		}
-		n.groups[ks] = append(n.groups[ks], p)
-	}
-	n.inSynced = inrel.Len()
-	for _, ks := range order {
-		members := make([]relation.Tuple, 0, len(n.groups[ks]))
-		for _, p := range n.groups[ks] {
-			members = append(members, inrel.Tuples[p])
-		}
-		row := n.keyTuples[ks].Clone()
-		for i, a := range x.Aggs {
-			v, err := computeAgg(a.Func, aIdx[i], members)
-			if err != nil {
-				return nil, err
-			}
-			row = append(row, v)
-		}
-		n.out.appendDistinct(row, 1)
-		n.rows[ks] = row
-	}
-	return b.add(n), nil
-}
-
 // PreparedDiff is the retained evaluation of Q1 − Q2 and Q2 − Q1 over a base
 // instance, ready to answer signed update deltas (deletions, insertions,
 // updates as delete+insert; see ApplyDelta in delta.go). It is NOT safe for
-// concurrent use: ApplyDelta mutates lazily-synced indexes and Commit
+// concurrent use: ApplyDelta extends the retained indexes and Commit
 // mutates retained outputs and — when insertions are involved — the base
 // Database itself, which the prepared object must therefore own.
 type PreparedDiff struct {
-	db       *relation.Database
-	d12, d21 *pdiff
-	nodes    []pnode
-	scans    map[string]*pscan
-	opts     Options
-	removed  map[relation.TupleID]bool
-	epoch    int
-	liveSize int
+	db     *relation.Database
+	params map[string]relation.Value
+	opts   Options
+	// top12 and top21 are the two difference directions as plan nodes over
+	// the planned queries; state holds every plan node's retained state, and
+	// nodes lists the nodes with distinct retained outputs (scans of one
+	// relation share theirs) children before parents.
+	top12, top21 *ra.Diff
+	state        map[ra.Node]*nodeState
+	plans        map[ra.Node]any
+	nodes        []ra.Node
+	removed      map[relation.TupleID]bool
+	epoch        int
+	liveSize     int
+	// live12 and live21 are the support sizes of the two differences, so
+	// emptiness checks are O(1).
+	live12, live21 int
+}
+
+// nodeState is one plan node's retained state.
+type nodeState struct {
+	// out is the node's output on the current base instance. It may hold
+	// zombie entries (count 0) left behind by committed deletions; consumers
+	// must read counts, never assume presence implies membership.
+	out *Rel[Count]
+	// inputs are the node's children, and none its empty change, shared by
+	// every update that leaves the inputs unchanged.
+	inputs []ra.Node
+	none   *Rel[Count]
+	// join and group are the join and γ delta rules' state: a join's plan
+	// and key indexes over its inputs' retained outputs, and γ's group
+	// membership, built on first use.
+	join  *joinIndex
+	group *groupIndex
+}
+
+// commit folds one update's change of the node, and of γ's rows, into the
+// retained state.
+func (st *nodeState) commit(d *Rel[Count], rows []groupChange) {
+	applyDelta(st.out, d)
+	if st.group != nil {
+		st.group.commit(rows)
+	}
 }
 
 // PrepareDiff evaluates q1 and q2 once on db under the counting semiring
-// (sharing base scans between the two queries) and retains the per-operator
-// state needed to propagate deletion deltas. It returns ErrNotIncremental
-// (wrapped) when the retained state cannot support delta arithmetic; other
-// errors mirror a full evaluation's (unknown relations, row budget,
-// incompatible schemas).
+// (sharing base scans between the two queries) and retains every operator's
+// output for ApplyDelta. It returns ErrNotIncremental (wrapped) when the
+// retained state cannot support delta arithmetic; other errors mirror a
+// full evaluation's (unknown relations, row budget, incompatible schemas).
 func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (*PreparedDiff, error) {
 	cat := Catalog{DB: db}
 	if !opts.NoOptimize {
@@ -1093,37 +201,55 @@ func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relati
 			return nil, err
 		}
 	}
-	b := &pbuilder{db: db, params: params, opts: opts, scans: map[string]*pscan{}}
-	n1, err := b.build(q1)
+	// The retained state is evaluated serially, so its tuple order — and
+	// the order Diffs and the delta results report — does not depend on
+	// Parallelism.
+	opts.Parallelism = 0
+	e := newExec[Count](Counting, db, params, opts)
+	e.retain = true
+	e.plans = map[ra.Node]any{}
+	p := &PreparedDiff{
+		db: db, params: params, opts: opts,
+		top12: &ra.Diff{L: q1, R: q2}, top21: &ra.Diff{L: q2, R: q1},
+		state:   make(map[ra.Node]*nodeState),
+		removed: map[relation.TupleID]bool{}, liveSize: db.Size(),
+	}
+	d12, err := e.node(p.top12)
 	if err != nil {
 		return nil, err
 	}
-	n2, err := b.build(q2)
+	d21, err := e.node(p.top21)
 	if err != nil {
 		return nil, err
 	}
-	if !n1.rel().Schema.UnionCompatible(n2.rel().Schema) {
-		return nil, fmt.Errorf("engine: difference of incompatible schemas %s, %s", n1.rel().Schema, n2.rel().Schema)
-	}
-	d12 := b.buildDiff(n1, n2)
-	d21 := b.buildDiff(n2, n1)
-	// Oversized derivation counts would make the signed delta arithmetic
-	// unsound: saturation is not invertible, and delta products of counts
-	// near the int64 range overflow silently. maxSafeCount keeps every
-	// product and partial sum the delta rules can form exactly
-	// representable; plans beyond it fall back.
-	for _, n := range b.nodes {
-		for _, c := range n.rel().Anns {
+	byOut := map[*Rel[Count]]*nodeState{}
+	for _, n := range e.order {
+		if _, ok := n.(*ra.Semi); ok {
+			return nil, fmt.Errorf("%w: semi-join reduced plan", ErrNotIncremental)
+		}
+		out := e.memo[n]
+		if st, ok := byOut[out]; ok {
+			p.state[n] = st
+			continue
+		}
+		// Oversized derivation counts would make the signed delta
+		// arithmetic unsound: saturation is not invertible, and delta
+		// products of counts near the int64 range overflow silently.
+		// maxSafeCount keeps every product and partial sum the delta rules
+		// can form exactly representable; plans beyond it fall back.
+		for _, c := range out.Anns {
 			if c > maxSafeCount {
 				return nil, fmt.Errorf("%w: derivation counts too large for exact delta arithmetic", ErrNotIncremental)
 			}
 		}
+		st := &nodeState{out: out, inputs: n.Children(), none: NewRel[Count](out.Schema)}
+		st.join, _ = e.plans[n].(*joinIndex)
+		byOut[out], p.state[n] = st, st
+		p.nodes = append(p.nodes, n)
 	}
-	return &PreparedDiff{
-		db: db, d12: d12.(*pdiff), d21: d21.(*pdiff), nodes: b.nodes,
-		scans: b.scans, opts: opts,
-		removed: map[relation.TupleID]bool{}, liveSize: db.Size(),
-	}, nil
+	p.plans = e.plans
+	p.live12, p.live21 = d12.Len(), d21.Len()
+	return p, nil
 }
 
 // Epoch counts committed deltas; it identifies the base instance version.
@@ -1133,7 +259,7 @@ func (p *PreparedDiff) Epoch() int { return p.epoch }
 func (p *PreparedDiff) BaseSize() int { return p.liveSize }
 
 // Disagrees reports whether Q1 and Q2 differ on the current base instance.
-func (p *PreparedDiff) Disagrees() bool { return p.d12.live > 0 || p.d21.live > 0 }
+func (p *PreparedDiff) Disagrees() bool { return p.live12 > 0 || p.live21 > 0 }
 
 // LiveIDs returns the identifiers of the current base instance, sorted.
 func (p *PreparedDiff) LiveIDs() []relation.TupleID {
@@ -1148,7 +274,7 @@ func (p *PreparedDiff) LiveIDs() []relation.TupleID {
 
 // Diffs materializes Q1 − Q2 and Q2 − Q1 on the current base instance.
 func (p *PreparedDiff) Diffs() (*relation.Relation, *relation.Relation) {
-	return materializeDiff(p.d12.out, nil), materializeDiff(p.d21.out, nil)
+	return materializeDiff(p.state[p.top12].out, nil), materializeDiff(p.state[p.top21].out, nil)
 }
 
 func materializeDiff(base *Rel[Count], d *Rel[Count]) *relation.Relation {
@@ -1174,9 +300,13 @@ func materializeDiff(base *Rel[Count], d *Rel[Count]) *relation.Relation {
 // epoch it was computed. Multiple uncommitted results from the same epoch
 // are independent candidates; Commit folds one of them into the base.
 type DeltaResult struct {
-	p              *PreparedDiff
-	epoch          int
-	ctx            *deltaCtx
+	p     *PreparedDiff
+	epoch int
+	// deltas holds every plan node's signed change; groups the γ rows each
+	// γ node replaces on Commit.
+	deltas         map[ra.Node]*Rel[Count]
+	groups         map[ra.Node][]groupChange
+	removed        []relation.TupleID
 	inserts        []Insert
 	insertedIDs    []relation.TupleID // assigned at Commit, caller order
 	size12, size21 int
@@ -1219,53 +349,49 @@ func (r *DeltaResult) Disagrees() bool { return r.size12 > 0 || r.size21 > 0 }
 // ErrStaleDelta (re-applying its delta against the advanced base would
 // double-count the changes).
 func (r *DeltaResult) Diff12() (*relation.Relation, error) {
-	return r.materialize(r.p.d12)
+	return r.materialize(r.p.top12)
 }
 
 // Diff21 materializes Q2 − Q1 on the delta's subinstance.
 func (r *DeltaResult) Diff21() (*relation.Relation, error) {
-	return r.materialize(r.p.d21)
+	return r.materialize(r.p.top21)
 }
 
-func (r *DeltaResult) materialize(n *pdiff) (*relation.Relation, error) {
+func (r *DeltaResult) materialize(top *ra.Diff) (*relation.Relation, error) {
 	if r.committed {
-		return materializeDiff(n.out, nil), nil
+		return materializeDiff(r.p.state[top].out, nil), nil
 	}
 	if r.epoch != r.p.epoch {
 		return nil, ErrStaleDelta
 	}
-	return materializeDiff(n.out, r.ctx.memo[n]), nil
+	return materializeDiff(r.p.state[top].out, r.deltas[top]), nil
 }
 
 // Commit folds the delta into the retained state: the delta's updated
 // instance becomes the new base, and subsequent ApplyDelta calls are
 // relative to it. Insertions are folded into the base Database, assigning
 // fresh TupleIDs in the order they were passed to ApplyDelta (see
-// InsertedIDs), and registered with the retained scan position maps so
-// later deltas can delete them by id. A result computed before another
-// Commit advanced the state returns ErrStaleDelta — committing it would
-// apply changes against the wrong base.
+// InsertedIDs), so later deltas can delete them by id. A result computed
+// before another Commit advanced the state returns ErrStaleDelta —
+// committing it would apply changes against the wrong base.
 func (r *DeltaResult) Commit() error {
 	if r.epoch != r.p.epoch {
 		return ErrStaleDelta
 	}
 	for _, n := range r.p.nodes {
-		n.commit(r.ctx)
+		r.p.state[n].commit(r.deltas[n], r.groups[n])
 	}
-	for _, id := range r.ctx.removed {
+	for _, id := range r.removed {
 		r.p.removed[id] = true
 	}
 	if len(r.inserts) > 0 {
 		r.insertedIDs = make([]relation.TupleID, 0, len(r.inserts))
 		for _, ins := range r.inserts {
-			id := r.p.db.Insert(ins.Rel, ins.Tuple)
-			r.insertedIDs = append(r.insertedIDs, id)
-			if sc, ok := r.p.scans[ins.Rel]; ok {
-				sc.pos[id] = sc.out.Lookup(ins.Tuple)
-			}
+			r.insertedIDs = append(r.insertedIDs, r.p.db.Insert(ins.Rel, ins.Tuple))
 		}
 	}
-	r.p.liveSize += len(r.inserts) - len(r.ctx.removed)
+	r.p.liveSize += len(r.inserts) - len(r.removed)
+	r.p.live12, r.p.live21 = r.size12, r.size21
 	r.p.epoch++
 	r.committed = true
 	return nil

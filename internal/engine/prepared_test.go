@@ -11,7 +11,7 @@ import (
 )
 
 // This file differentially tests the delta-incremental subsystem:
-// PreparedDiff.EvalDelta over random plan pairs (including Diff towers, NULL
+// PreparedDiff.ApplyDelta over random plan pairs (including Diff towers, NULL
 // join keys, θ-joins with residuals, and γ plans exercising the group-level
 // re-aggregation) must agree with a full EvalDiffs-style evaluation on the
 // materialized subinstance, for independent deltas (empty, singleton, half,
@@ -103,7 +103,7 @@ func checkDelta(t *testing.T, trial int, q1, q2 ra.Node, db *relation.Database, 
 	}
 }
 
-// TestPreparedDiffDifferential: EvalDelta ≡ full evaluation on the
+// TestPreparedDiffDifferential: ApplyDelta ≡ full evaluation on the
 // materialized subinstance over ≥200 random plan pairs and deltas of every
 // size class, evaluated independently (no commits).
 func TestPreparedDiffDifferential(t *testing.T) {
@@ -128,9 +128,9 @@ func TestPreparedDiffDifferential(t *testing.T) {
 			randomIDSubset(rng, all, 1+rng.Intn(len(all))),
 		}
 		for _, removed := range deltas {
-			res, err := p.EvalDelta(removed)
+			res, err := p.ApplyDelta(removed, nil)
 			if err != nil {
-				t.Fatalf("trial %d: EvalDelta: %v\nq1: %s\nq2: %s", trial, err, q1, q2)
+				t.Fatalf("trial %d: ApplyDelta: %v\nq1: %s\nq2: %s", trial, err, q1, q2)
 			}
 			keep := map[relation.TupleID]bool{}
 			gone := map[relation.TupleID]bool{}
@@ -151,7 +151,7 @@ func TestPreparedDiffDifferential(t *testing.T) {
 }
 
 // TestPreparedDiffCommitChain: committed deltas accumulate — each
-// subsequent EvalDelta is relative to the shrunk base — and the final state
+// subsequent ApplyDelta is relative to the shrunk base — and the final state
 // matches a fresh evaluation of the remaining subinstance.
 func TestPreparedDiffCommitChain(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -166,7 +166,7 @@ func TestPreparedDiffCommitChain(t *testing.T) {
 		gone := map[relation.TupleID]bool{}
 		for step := 0; step < 6 && len(gone) < len(all); step++ {
 			removed := randomIDSubset(rng, all, 1+rng.Intn(3))
-			res, err := p.EvalDelta(removed)
+			res, err := p.ApplyDelta(removed, nil)
 			if err != nil {
 				t.Fatalf("trial %d step %d: %v", trial, step, err)
 			}
@@ -207,11 +207,11 @@ func TestPreparedDiffStaleCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := db.AllIDs()
-	a, err := p.EvalDelta(all[:1])
+	a, err := p.ApplyDelta(all[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.EvalDelta(all[1:2])
+	b, err := p.ApplyDelta(all[1:2], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestPreparedDiffStaleCommit(t *testing.T) {
 		t.Fatalf("stale Diff12: got %v, want ErrStaleDelta", err)
 	}
 	// Removing an already-removed id is a no-op, not a double decrement.
-	c, err := p.EvalDelta(all[:1])
+	c, err := p.ApplyDelta(all[:1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPreparedDiffStaleCommit(t *testing.T) {
 	}
 }
 
-// TestPreparedDiffInterleavedWithBatch: uncommitted EvalDelta results and
+// TestPreparedDiffInterleavedWithBatch: uncommitted ApplyDelta results and
 // batch-layer evaluations of the same (Q1, Q2, D) never share state — the
 // prepared base-scan cache must stay valid across interleaved EvalBatchDiffs
 // calls (regression guard for the witness loops, where one enumeration mixes
@@ -259,7 +259,7 @@ func TestPreparedDiffInterleavedWithBatch(t *testing.T) {
 		all := db.AllIDs()
 		removed := randomIDSubset(rng, all, len(all)/3)
 		keep := complementIDs(all, removed)
-		before, err := p.EvalDelta(removed)
+		before, err := p.ApplyDelta(removed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +271,7 @@ func TestPreparedDiffInterleavedWithBatch(t *testing.T) {
 		sort.Slice(cand, func(a, b int) bool { return cand[a] < cand[b] })
 		d12b, d21b, err := EvalBatchDiffs(q1, q2, db, nil, [][]relation.TupleID{cand}, Options{})
 		batchOK := err == nil
-		after, err := p.EvalDelta(removed)
+		after, err := p.ApplyDelta(removed, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,14 +92,6 @@ func (r *Rel[T]) Lookup(t relation.Tuple) int {
 	return -1
 }
 
-// Index exposes the tuple-key index, building it if needed. Callers must
-// treat it as read-only; it is shared so compatibility wrappers
-// (eval.AnnRel) avoid rebuilding it.
-func (r *Rel[T]) Index() map[string]int {
-	r.ensureIndex()
-	return r.index
-}
-
 // Relation strips annotations, returning a plain relation.
 func (r *Rel[T]) Relation(name string) *relation.Relation {
 	out := relation.NewRelation(name, r.Schema)

@@ -43,7 +43,8 @@ type Semiring[T any] interface {
 	// evaluated over the support of the input and each output row is
 	// annotated One; that is only sound when annotations carry no
 	// per-subinstance information (set, counting). How-provenance for
-	// aggregates goes through eval.EvalAggProv instead (Section 5).
+	// aggregates is core's symbolic aggregate provenance instead
+	// (Section 5).
 	Aggregates() bool
 	// Name identifies the semiring in error messages.
 	Name() string

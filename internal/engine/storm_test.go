@@ -186,9 +186,9 @@ func TestUpdateStormDifferential(t *testing.T) {
 			if rng.Intn(4) == 0 && len(live) > 0 {
 				rOp := stormOp{removed: live[:1]}
 				r12, r21 := stormGroundTruth(t, q1, q2, db, live, rOp)
-				rival, err = p.EvalDelta(rOp.removed)
+				rival, err = p.ApplyDelta(rOp.removed, nil)
 				if err != nil {
-					t.Fatalf("trial %d step %d: rival EvalDelta: %v", trial, step, err)
+					t.Fatalf("trial %d step %d: rival ApplyDelta: %v", trial, step, err)
 				}
 				checkStormResult(t, trial, step, q1, q2, rival, r12, r21)
 			}

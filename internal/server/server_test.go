@@ -448,6 +448,22 @@ relation T(a: int)
 // a three-leaf natural-join chain on the course schema is a planned,
 // acyclic region with semi-joins, and plan-cache entries must be keyed per
 // instance (the same query against a different instance is a fresh miss).
+// TestExplainTinyTPCH: a TPC-H instance whose scale factor asks for more
+// partsupp pairs than exist (sf 0.0002: 160 wanted, 120 possible) is
+// generated and explained like any other, not spun on forever.
+func TestExplainTinyTPCH(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var resp ExplainResponse
+	code := postJSON(t, ts.URL+"/explain", ExplainRequest{
+		Q1:       "project[ps_partkey](partsupp)",
+		Q2:       "project[ps_partkey](select[ps_availqty > 5000](partsupp))",
+		Instance: InstanceSpec{Kind: "tpch", SF: 0.0002, Seed: 1},
+	}, &resp)
+	if code != http.StatusOK || (resp.Status != StatusOK && resp.Status != StatusAgree) {
+		t.Fatalf("explain = %d / %q (%s), want 200 with an answer", code, resp.Status, resp.Error)
+	}
+}
+
 func TestExplainPlanField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	q := `project[name](Student join Registration join Student)`

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eval"
+	"repro/internal/engine"
 	"repro/internal/mutation"
 	"repro/internal/ra"
 )
@@ -22,7 +22,7 @@ func TestDBGenerates(t *testing.T) {
 func TestProblemsEvaluate(t *testing.T) {
 	db := DB(30, 2)
 	for _, p := range Problems() {
-		r, err := eval.Eval(p.Correct, db, nil)
+		r, err := engine.Eval(p.Correct, db, nil)
 		if err != nil {
 			t.Fatalf("(%s): %v", p.ID, err)
 		}
@@ -33,7 +33,7 @@ func TestProblemsEvaluate(t *testing.T) {
 func TestProblemBSemantics(t *testing.T) {
 	db := DB(0, 1) // just the named drinkers/bars/beers
 	pb := Problems()[0]
-	r, err := eval.Eval(pb.Correct, db, nil)
+	r, err := engine.Eval(pb.Correct, db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

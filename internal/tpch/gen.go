@@ -94,7 +94,9 @@ func Generate(sf float64, seed int64) *relation.Database {
 			relation.Int(int64(1+rng.Intn(50)))))
 	}
 
-	nPS := scaled(basePartsupp, sf, 6)
+	// Below sf ≈ 0.0005 the scaled count can exceed the nPart×nSupp
+	// distinct pairs there are, and the loop below would never finish.
+	nPS := min(scaled(basePartsupp, sf, 6), nPart*nSupp)
 	db.CreateRelation("partsupp", relation.NewSchema(
 		relation.Attr("ps_partkey", relation.KindInt),
 		relation.Attr("ps_suppkey", relation.KindInt),

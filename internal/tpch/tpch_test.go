@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/eval"
+	"repro/internal/engine"
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -33,6 +33,21 @@ func TestGenerateCardinalities(t *testing.T) {
 	for _, name := range []string{"supplier", "part", "partsupp", "customer"} {
 		if db.Relation(name).Len() == 0 {
 			t.Errorf("%s is empty", name)
+		}
+	}
+}
+
+// TestGenerateTinyScaleFactors: scale factors whose partsupp target
+// exceeds the distinct (part, supplier) pairs still finish, with every pair
+// drawn.
+func TestGenerateTinyScaleFactors(t *testing.T) {
+	for _, c := range []struct {
+		sf   float64
+		want int // nPart × nSupp
+	}{{0.0002, 40 * 3}, {0.000402, 80 * 4}} {
+		db := Generate(c.sf, 1)
+		if got := db.Relation("partsupp").Len(); got != c.want {
+			t.Errorf("sf %v: %d partsupp rows, want %d", c.sf, got, c.want)
 		}
 	}
 }
@@ -68,7 +83,7 @@ func TestConstraintsHold(t *testing.T) {
 func TestAllQueriesEvaluate(t *testing.T) {
 	db := testDB(t)
 	for _, qs := range All() {
-		r, err := eval.Eval(qs.Correct, db, nil)
+		r, err := engine.Eval(qs.Correct, db, nil)
 		if err != nil {
 			t.Fatalf("%s correct: %v", qs.Name, err)
 		}
@@ -76,7 +91,7 @@ func TestAllQueriesEvaluate(t *testing.T) {
 			t.Errorf("%s returned no rows at sf=%v", qs.Name, testSF)
 		}
 		for i, w := range qs.Wrong {
-			if _, err := eval.Eval(w, db, nil); err != nil {
+			if _, err := engine.Eval(w, db, nil); err != nil {
 				t.Fatalf("%s wrong[%d]: %v", qs.Name, i, err)
 			}
 		}

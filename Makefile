@@ -12,6 +12,7 @@ all: lint test
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	cd e2ebench && $(GO) vet .
 	$(GO) build -o $(RATESTLINT) ./cmd/ratestlint
 	$(GO) vet -vettool=$(RATESTLINT) ./...
 

@@ -48,7 +48,6 @@ func main() {
 		"print the cost-based join planner's decisions (chosen join order, estimated vs actual cardinalities, acyclic fast path) on TPC-H at -sf, then exit")
 	flag.Parse()
 	pool.DefaultWorkers = *workers
-	core.Workers = *workers
 	if *plan {
 		planDemo(*sf)
 		return

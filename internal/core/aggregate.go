@@ -176,11 +176,10 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 
 	fks := p.ForeignKeys()
 	t0 = time.Now()
-	// Solve every candidate group first, then accept/reject the solved
-	// candidates together through the batch layer. Aggregate plans (and
-	// parameterized candidates) make verifyCandidates fall back to
-	// per-candidate Verify — the γ fallback of the batched accept-reject —
-	// so the decisions match the old one-at-a-time loop exactly.
+	// Solve every candidate group first, then verify the solved candidates
+	// one at a time: the plans contain γ, which the bitvector batch cannot
+	// evaluate (aggregation is not per-bit sound), and parameterized
+	// candidates each carry their own parameter setting.
 	var pending []*Counterexample
 	for _, c := range cands {
 		if err := p.interrupted(); err != nil {
@@ -229,10 +228,14 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// verification phase would escape the request's deadline and caps.
 	verifyProblem := Problem{Q1: q1, Q2: q2, DB: p.DB, Constraints: p.Constraints, Params: origParams,
 		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
-	oks := verifyCandidates(verifyProblem, pending)
 	var best *Counterexample
-	for i, ce := range pending {
-		if !oks[i] {
+	for _, ce := range pending {
+		// An expired budget rejects the remaining candidates; the no-result
+		// path below then surfaces the budget error.
+		if verifyProblem.interrupted() != nil {
+			break
+		}
+		if Verify(verifyProblem, ce) != nil {
 			continue
 		}
 		if best == nil || ce.Size() < best.Size() {

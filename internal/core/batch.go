@@ -106,50 +106,3 @@ func VerifyBatch(p Problem, idSets [][]int) ([]*Counterexample, error) {
 	}
 	return out, nil
 }
-
-// verifyCandidates reports Verify success for each prebuilt candidate
-// counterexample. When every candidate shares the problem's queries and
-// parameter setting, the disagreement checks run as one batch; candidates
-// carrying their own Params or query rewrites (the parameterized aggregate
-// algorithms) and γ plans fall back to per-candidate Verify.
-func verifyCandidates(p Problem, ces []*Counterexample) []bool {
-	out := make([]bool, len(ces))
-	batchable := len(ces) > 1
-	for _, ce := range ces {
-		if ce == nil || ce.Params != nil || ce.Q1 != nil || ce.Q2 != nil {
-			batchable = false
-			break
-		}
-	}
-	if batchable {
-		idSets := make([][]int, len(ces))
-		for i, ce := range ces {
-			idSets[i] = toIntIDs(ce.IDs)
-		}
-		if disagree, err := DisagreeBatch(p, idSets); err == nil {
-			for i, ce := range ces {
-				out[i] = disagree[i] && ce.DB.SubinstanceOf(p.DB) && constraintsHold(p, ce.DB)
-			}
-			return out
-		}
-		// A batch error (beyond the fallbacks DisagreeBatch already
-		// handles) is not necessarily a per-candidate error: fall through.
-	}
-	for i, ce := range ces {
-		// An expired budget rejects the remaining candidates; the callers'
-		// no-result paths then surface the budget error.
-		if p.interrupted() != nil {
-			break
-		}
-		out[i] = ce != nil && Verify(p, ce) == nil
-	}
-	return out
-}
-
-func toIntIDs(ids []relation.TupleID) []int {
-	out := make([]int, len(ids))
-	for i, id := range ids {
-		out[i] = int(id)
-	}
-	return out
-}

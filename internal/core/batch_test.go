@@ -103,24 +103,3 @@ func TestVerifyBatchMatchesVerify(t *testing.T) {
 		t.Fatal("no candidate accepted — the known witness {1,4,5} should verify")
 	}
 }
-
-// TestVerifyCandidatesFallback: candidates carrying their own parameter
-// settings must go through per-candidate Verify (the batch layer cannot
-// honour per-candidate λ), and the answers must match Verify exactly.
-func TestVerifyCandidatesFallback(t *testing.T) {
-	p := example1Problem()
-	rng := rand.New(rand.NewSource(5))
-	idSets := randomIDSets(rng, p.DB, 6)
-	var ces []*Counterexample
-	for _, ids := range idSets {
-		sub, tids := subinstanceFromIDs(p.DB, ids)
-		ces = append(ces, &Counterexample{DB: sub, IDs: tids,
-			Params: map[string]relation.Value{}}) // forces the fallback
-	}
-	got := verifyCandidates(p, ces)
-	for i, ce := range ces {
-		if want := Verify(p, ce) == nil; got[i] != want {
-			t.Errorf("candidate %d: verifyCandidates=%v Verify=%v", i, got[i], want)
-		}
-	}
-}

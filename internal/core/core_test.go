@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/pool"
 	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
@@ -277,11 +278,11 @@ func TestSolveWitnessStrategy(t *testing.T) {
 // OptSigmaAll reduce per-index results in iteration order, so the chosen
 // counterexample is identical to the serial algorithms'.
 func TestParallelWitnessSearchMatchesSerial(t *testing.T) {
-	saved := Workers
-	t.Cleanup(func() { Workers = saved })
+	saved := pool.DefaultWorkers
+	t.Cleanup(func() { pool.DefaultWorkers = saved })
 	p := example1Problem()
 
-	Workers = 1
+	pool.DefaultWorkers = 1
 	ceBS, _, err := Basic(p, 128)
 	if err != nil {
 		t.Fatal(err)
@@ -290,7 +291,7 @@ func TestParallelWitnessSearchMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Workers = 8
+	pool.DefaultWorkers = 8
 	for run := 0; run < 3; run++ {
 		ceBP, _, err := Basic(p, 128)
 		if err != nil {

@@ -21,11 +21,11 @@ import (
 //
 // Candidate acceptance is batched: the SAT models of every witness case are
 // decoded and deduplicated first, then verified together through
-// VerifyBatch — one bitvector-semiring engine pass per ~64 candidates
-// instead of a fresh subinstance evaluation each. Witness cases whose CNF
-// duplicates an earlier case's are skipped outright (identical formulas
-// enumerate identical models, which the id-set dedup would discard anyway),
-// saving both the solver enumeration and the redundant Verify work.
+// VerifyBatch — one bitvector-semiring engine pass per chunk of up to 256
+// candidates instead of a fresh subinstance evaluation each. Witness cases
+// whose CNF duplicates an earlier case's are skipped outright (identical
+// formulas enumerate identical models, which the id-set dedup would discard
+// anyway), saving both the solver enumeration and the redundant Verify work.
 func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	if max <= 0 {
 		max = 64

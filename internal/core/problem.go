@@ -142,8 +142,8 @@ func (c *Counterexample) Size() int { return c.DB.Size() }
 // Stats records the per-component measurements the paper's experiments
 // report (Figures 3, 4, 6). The per-component times (ProvEvalTime,
 // SolverTime) are sums of per-task durations: under parallel execution
-// (Workers > 1) they report aggregate work across the pool and can exceed
-// the wall-clock TotalTime.
+// (pool.DefaultWorkers > 1) they report aggregate work across the pool and
+// can exceed the wall-clock TotalTime.
 type Stats struct {
 	Algorithm    string
 	RawEvalTime  time.Duration // evaluating Q1, Q2 (and Q1−Q2) plainly

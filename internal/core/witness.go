@@ -16,15 +16,6 @@ import (
 // DefaultDelta is the default model budget Δ of Algorithm 1.
 const DefaultDelta = 128
 
-// Workers bounds the worker pool of the fan-out loops (Basic's
-// per-provenance SAT loop, OptSigmaAll's per-tuple pushdown+solve loop).
-// Each iteration is independent — it reads the shared database and builds
-// its own CNF and solver — so the loops parallelize without locking; the
-// reduction over per-iteration results runs serially in iteration order,
-// keeping the chosen counterexample identical to the serial algorithms'.
-// Values <= 1 keep the loops serial.
-var Workers = pool.DefaultWorkers
-
 // buildCNF encodes the how-provenance of the chosen tuple plus the
 // foreign-key implications of Section 4.3 into CNF. It returns the builder,
 // the SAT variables corresponding to base tuples (the counted variables of
@@ -172,7 +163,7 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 		solve       time.Duration
 	}
 	results := make([]solveResult, len(provs))
-	err = pool.ForEach(Workers, len(provs), func(i int) error {
+	err = pool.ForEach(pool.DefaultWorkers, len(provs), func(i int) error {
 		if err := p.interrupted(); err != nil {
 			return err
 		}
@@ -379,7 +370,7 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 		prov, solve time.Duration
 	}
 	results := make([]solveResult, len(tasks))
-	err = pool.ForEach(Workers, len(tasks), func(i int) error {
+	err = pool.ForEach(pool.DefaultWorkers, len(tasks), func(i int) error {
 		if err := p.interrupted(); err != nil {
 			return err
 		}

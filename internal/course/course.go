@@ -238,9 +238,8 @@ type Explained struct {
 // ExplainDiscovered runs the grading sweep end to end: discover the bank
 // queries that differ from their reference solution on db, then enumerate
 // up to maxEach smallest counterexamples for each discovered query.
-// Candidate verification inside the enumeration goes through one prepared
-// delta-incremental evaluation per (correct, wrong) pair, which also backs
-// the batched bitvector-semiring accept/reject checks; queries whose
+// Candidate verification inside the enumeration goes through the batched
+// bitvector-semiring accept/reject checks (core.VerifyBatch); queries whose
 // enumeration exhausts its solver budget fall back to the solver-free
 // greedy shrink (core.ShrinkGreedy), so a discovered mistake still ships
 // with a 1-minimal counterexample. The per-query enumerations fan out over

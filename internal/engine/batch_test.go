@@ -170,33 +170,6 @@ func TestScanCacheSelfJoin(t *testing.T) {
 	}
 }
 
-// TestBatchParallelMatchesSerial: the batched evaluation composes with the
-// parallel physical operators (hash-partitioned join/build/diff) without
-// changing any candidate's result.
-func TestBatchParallelMatchesSerial(t *testing.T) {
-	popts := forceParallel(t)
-	rng := rand.New(rand.NewSource(4242))
-	for trial := 0; trial < 80; trial++ {
-		db := randomDB(rng)
-		q := randomPlan(rng)
-		k := 1 + rng.Intn(64)
-		cands := randomCandidates(rng, db, k)
-		serial, err := EvalBatch(q, db, nil, cands, Options{})
-		if err != nil {
-			t.Fatalf("trial %d: serial: %v", trial, err)
-		}
-		par, err := EvalBatch(q, db, nil, cands, popts)
-		if err != nil {
-			t.Fatalf("trial %d: parallel: %v", trial, err)
-		}
-		for c := 0; c < k; c++ {
-			if !sameKeySets(keySet(serial.ResultFor(c)), keySet(par.ResultFor(c))) {
-				t.Fatalf("trial %d cand %d: parallel batch ≠ serial batch\nquery: %s", trial, c, q)
-			}
-		}
-	}
-}
-
 // TestBatchGroupByFallsBack: plans containing γ are rejected with an error
 // wrapping ErrNoAggregates — the signal batch callers use to fall back to
 // per-candidate evaluation.

@@ -49,8 +49,8 @@ func BenchmarkEquiJoinProv(b *testing.B) {
 	}
 }
 
-// BenchmarkTPCH times serial and parallel hash joins on customer ⋈ orders
-// and customer ⋈ orders ⋈ lineitem at TPC-H SF 0.01.
+// BenchmarkTPCH times hash joins on customer ⋈ orders and customer ⋈
+// orders ⋈ lineitem at TPC-H SF 0.01.
 func BenchmarkTPCH(b *testing.B) {
 	db := tpch.Generate(0.01, 1)
 	two := raparser.MustParse(
@@ -62,16 +62,13 @@ func BenchmarkTPCH(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		q    ra.Node
-		opts Options
 	}{
-		{"customer-orders/hash", two, Options{}},
-		{"customer-orders/parallel", two, Options{Parallelism: NumWorkers()}},
-		{"customer-orders-lineitem/hash", three, Options{}},
-		{"customer-orders-lineitem/parallel", three, Options{Parallelism: NumWorkers()}},
+		{"customer-orders/hash", two},
+		{"customer-orders-lineitem/hash", three},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := RunOpts[bool](Set, bc.q, db, nil, bc.opts); err != nil {
+				if _, err := Run[bool](Set, bc.q, db, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -110,40 +107,6 @@ func BenchmarkCountDistinct(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkParallelJoin compares the hash-partitioned parallel equi-join
-// against the serial hash join on a join wide enough to clear the parallel
-// row threshold (the acceptance benchmark for the parallel physical layer;
-// the parallel series only wins wall-clock on a multi-core runner).
-func BenchmarkParallelJoin(b *testing.B) {
-	// 1:1 key join over 150k rows per side (joinDB's 97-value key domain
-	// would blow the row budget at this scale).
-	db := relation.NewDatabase()
-	db.CreateRelation("L", relation.NewSchema(
-		relation.Attr("k", relation.KindInt), relation.Attr("a", relation.KindInt)))
-	db.CreateRelation("R", relation.NewSchema(
-		relation.Attr("k", relation.KindInt), relation.Attr("b", relation.KindInt)))
-	for i := 0; i < 150_000; i++ {
-		db.Insert("L", relation.NewTuple(relation.Int(int64(i)), relation.Int(int64(i))))
-		db.Insert("R", relation.NewTuple(relation.Int(int64(i)), relation.Int(int64(i))))
-	}
-	q := raparser.MustParse("rename[x](L) join[x.k = y.k] rename[y](R)")
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{
-		{"serial", Options{}},
-		{"parallel", Options{Parallelism: NumWorkers()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := RunOpts[bool](Set, q, db, nil, bc.opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkNaturalHashJoin times a natural join's hash path.

@@ -12,7 +12,8 @@ import (
 // This file differentially tests the hash-based engine against an
 // independent reference evaluator that uses only nested loops and linear
 // scans and never optimizes, over random instances (with NULLs) and random
-// SPJUD plans, for all three semirings.
+// SPJUD plans, for all three semirings, and over random γ plans under set
+// semantics and counting.
 
 // refRel is the reference evaluator's annotated relation: no index, linear
 // probes only.
@@ -192,8 +193,123 @@ func refEval[T any](s Semiring[T], q ra.Node, db *relation.Database, params map[
 			return nil, err
 		}
 		return &refRel[T]{schema: in.schema.Qualify(x.As), tuples: in.tuples, anns: in.anns}, nil
+	case *ra.GroupBy:
+		in, err := refEval(s, x.In, db, params)
+		if err != nil {
+			return nil, err
+		}
+		return refGroupBy(s, x, in)
 	}
 	return nil, fmt.Errorf("ref: unsupported node %T", q)
+}
+
+// refGroupBy evaluates γ without the engine's grouping or computeAgg:
+// groups are found by linear search over the input's support in
+// first-occurrence order, each aggregate is folded over its members'
+// non-NULL values in Go arithmetic, and every output row is annotated One.
+// It covers the aggregates randomGroupBy draws: count, integer sum, and
+// min/max over integers or strings.
+func refGroupBy[T any](s Semiring[T], g *ra.GroupBy, in *refRel[T]) (*refRel[T], error) {
+	var attrs []relation.Attribute
+	gIdx := make([]int, len(g.GroupCols))
+	for i, c := range g.GroupCols {
+		j, err := in.schema.Resolve(c)
+		if err != nil {
+			return nil, err
+		}
+		gIdx[i] = j
+		attrs = append(attrs, relation.Attribute{Name: c, Type: in.schema.Attrs[j].Type})
+	}
+	aIdx := make([]int, len(g.Aggs))
+	for i, a := range g.Aggs {
+		aIdx[i] = -1
+		typ := relation.KindInt
+		if a.Attr != "" {
+			j, err := in.schema.Resolve(a.Attr)
+			if err != nil {
+				return nil, err
+			}
+			aIdx[i] = j
+			if a.Func != ra.Count {
+				typ = in.schema.Attrs[j].Type
+			}
+		}
+		attrs = append(attrs, relation.Attribute{Name: a.As, Type: typ})
+	}
+	var keys []relation.Tuple
+	var members [][]relation.Tuple
+	for i, t := range in.tuples {
+		if s.IsZero(in.anns[i]) {
+			continue
+		}
+		k := t.Project(gIdx)
+		gi := 0
+		for gi < len(keys) && !keys[gi].Identical(k) {
+			gi++
+		}
+		if gi == len(keys) {
+			keys = append(keys, k)
+			members = append(members, nil)
+		}
+		members[gi] = append(members[gi], t)
+	}
+	out := &refRel[T]{schema: relation.Schema{Attrs: attrs}}
+	for gi, k := range keys {
+		row := append(relation.Tuple{}, k...)
+		for i, a := range g.Aggs {
+			v, err := refAgg(a.Func, aIdx[i], members[gi])
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		}
+		out.add(s, row, s.One())
+	}
+	return out, nil
+}
+
+// refAgg folds one aggregate over a group's members; col < 0 is count(*).
+func refAgg(f ra.AggFunc, col int, members []relation.Tuple) (relation.Value, error) {
+	if col < 0 {
+		return relation.Int(int64(len(members))), nil
+	}
+	var n, sum int64
+	best := relation.Null()
+	for _, t := range members {
+		v := t[col]
+		if v.IsNull() {
+			continue
+		}
+		n++
+		switch v.Kind() {
+		case relation.KindInt:
+			sum += v.AsInt()
+			if best.IsNull() || (f == ra.Min && v.AsInt() < best.AsInt()) || (f == ra.Max && v.AsInt() > best.AsInt()) {
+				best = v
+			}
+		case relation.KindString:
+			if f == ra.Sum {
+				return relation.Null(), fmt.Errorf("ref: sum over strings")
+			}
+			if best.IsNull() || (f == ra.Min && v.AsString() < best.AsString()) || (f == ra.Max && v.AsString() > best.AsString()) {
+				best = v
+			}
+		default:
+			return relation.Null(), fmt.Errorf("ref: unsupported value kind %s", v.Kind())
+		}
+	}
+	switch f {
+	case ra.Count:
+		return relation.Int(n), nil
+	case ra.Sum:
+		if n == 0 {
+			return relation.Null(), nil
+		}
+		return relation.Int(sum), nil
+	case ra.Min, ra.Max:
+		return best, nil
+	}
+	return relation.Null(), fmt.Errorf("ref: unsupported aggregate %s", f)
 }
 
 // randomDB builds three union-compatible relations with small value domains
@@ -294,6 +410,29 @@ func randomPlan(rng *rand.Rand) ra.Node {
 		q = &ra.Project{Cols: []string{"a", "c"}, In: q}
 	}
 	return q
+}
+
+// randomGroupBy builds γ over a random compatible plan, mixing group-key
+// arities (including the single whole-input group) and aggregate functions.
+func randomGroupBy(rng *rand.Rand) *ra.GroupBy {
+	var cols []string
+	switch rng.Intn(3) {
+	case 0:
+		cols = []string{"a"}
+	case 1:
+		cols = []string{"a", "c"}
+	}
+	return &ra.GroupBy{
+		GroupCols: cols,
+		Aggs: []ra.AggSpec{
+			{Func: ra.Count, As: "n"},
+			{Func: ra.Sum, Attr: "b", As: "s"},
+			{Func: ra.Min, Attr: "c", As: "mn"},
+			{Func: ra.Max, Attr: "a", As: "mx"},
+			{Func: ra.Count, Attr: "b", As: "nb"},
+		},
+		In: randomCompat(rng, 2),
+	}
 }
 
 func keySet(tuples []relation.Tuple) map[string]bool {
@@ -433,6 +572,47 @@ func TestDifferentialWhySemiring(t *testing.T) {
 						trial, tup, ids, got.Anns[j], q)
 				}
 			}
+		}
+	}
+}
+
+// TestDifferentialGroupBy: γ ≡ the reference's γ over random groupings,
+// row for row and annotation for annotation, under set semantics and
+// counting.
+func TestDifferentialGroupBy(t *testing.T) {
+	rng := rand.New(rand.NewSource(2718))
+	for trial := 0; trial < 200; trial++ {
+		db := randomDB(rng)
+		q := randomGroupBy(rng)
+		checkAgainstRef[bool](t, Set, trial, q, db)
+		checkAgainstRef[Count](t, Counting, trial, q, db)
+	}
+}
+
+// checkAgainstRef fails the test unless the engine and the reference
+// evaluator return the same tuples with equal annotations.
+func checkAgainstRef[T comparable](t *testing.T, s Semiring[T], trial int, q ra.Node, db *relation.Database) {
+	t.Helper()
+	want, err := refEval(s, q, db, nil)
+	if err != nil {
+		t.Fatalf("trial %d: %s: ref: %v\n%s", trial, s.Name(), err, q)
+	}
+	got, err := Run(s, q, db, nil)
+	if err != nil {
+		t.Fatalf("trial %d: %s: engine: %v\n%s", trial, s.Name(), err, q)
+	}
+	if got.Len() != len(want.tuples) {
+		t.Fatalf("trial %d: %s: sizes differ: want %d got %d\nquery: %s\nwant %v\ngot %v",
+			trial, s.Name(), len(want.tuples), got.Len(), q, want.tuples, got.Tuples)
+	}
+	for i, tup := range want.tuples {
+		j := got.Lookup(tup)
+		if j < 0 {
+			t.Fatalf("trial %d: %s: engine missing %v\nquery: %s\ngot %v", trial, s.Name(), tup, q, got.Tuples)
+		}
+		if got.Anns[j] != want.anns[i] {
+			t.Fatalf("trial %d: %s: annotation of %v: want %v got %v\nquery: %s",
+				trial, s.Name(), tup, want.anns[i], got.Anns[j], q)
 		}
 	}
 }

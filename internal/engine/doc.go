@@ -60,12 +60,9 @@
 // the underlying database, a prepared object whose callers insert must
 // own a private clone of its instance.
 //
-// # Budgets and parallelism
+// # Budgets
 //
 // Every evaluation is bounded by the intermediate-row budget — the
 // process-wide [MaxIntermediateRows], optionally tightened per evaluation
 // via [Options].MaxRows — and fails with [ErrRowBudget] when exceeded.
-// [Options].Parallelism enables the hash-partitioned parallel operator
-// forms; results are identical to serial evaluation with deterministic
-// tuple order for a fixed setting.
 package engine

@@ -48,19 +48,9 @@ type Options struct {
 	// NoPlan skips the cost-based join planner (reordering and semi-join
 	// reduction). Used by differential tests and as a benchmark baseline.
 	NoPlan bool
-	// Stats, when non-nil, overrides the planner's cardinality statistics
-	// (normally the instance's cached StatsOf result).
-	Stats *Stats
 	// Observer, when non-nil, collects the planner's decisions and the
 	// actual join cardinalities observed during execution.
 	Observer *PlanReport
-	// Parallelism is the number of worker goroutines the physical operators
-	// may fan out to (hash-partitioned equi-join, partitioned base-scan and
-	// union builds). Values <= 1 keep every operator serial, as do inputs
-	// below ParallelRowThreshold; NumWorkers() is the natural setting for
-	// CPU-bound plans. Results are identical to serial evaluation up to
-	// tuple order, which remains deterministic for a fixed Parallelism.
-	Parallelism int
 	// MaxRows, when > 0, tightens the intermediate-result row budget for
 	// this evaluation below the process-wide MaxIntermediateRows (it can
 	// never loosen it). Long-lived callers (the serving layer) use it to
@@ -347,8 +337,7 @@ func renameRel[T any](in *Rel[T], as string) *Rel[T] {
 // definitely zero are pruned at the scan: under the bitvector batch
 // semirings that shrinks the scan from the full database to the union of
 // the candidate subinstances (set, counting and why leaves are never zero,
-// so nothing changes for them). Large scans under a parallel Options fan
-// the deduplicating build out across tuple-hash partitions.
+// so nothing changes for them).
 func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 	if cached, ok := e.scans[x.Name]; ok {
 		return cached, nil
@@ -358,22 +347,6 @@ func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 		return nil, fmt.Errorf("engine: unknown relation %q", x.Name)
 	}
 	out := NewRel[T](r.Schema)
-	if w := e.opts.workerCount(r.Len()); w > 1 {
-		err := parallelBuild(e.s, w, r.Len(),
-			func(i int) relation.Tuple { return r.Tuples[i] },
-			func(i int) (T, error) {
-				ann, err := e.s.Leaf(r.ID(i))
-				if err != nil {
-					return ann, fmt.Errorf("%w (relation %q)", err, x.Name)
-				}
-				return ann, nil
-			}, out)
-		if err != nil {
-			return nil, err
-		}
-		e.scans[x.Name] = out
-		return out, nil
-	}
 	for i, t := range r.Tuples {
 		ann, err := e.s.Leaf(r.ID(i))
 		if err != nil {

@@ -8,8 +8,8 @@ import (
 )
 
 // groupPlan resolves γ's group and aggregate columns against the input
-// schema and derives the output schema. It is shared by the serial and
-// parallel evaluators and by the prepared (delta-incremental) operator.
+// schema and derives the output schema. It is shared by the one-shot
+// evaluator and the delta rule for γ.
 func groupPlan(g *ra.GroupBy, in relation.Schema) (gIdx, aIdx []int, out relation.Schema, err error) {
 	gIdx = make([]int, len(g.GroupCols))
 	for i, c := range g.GroupCols {
@@ -53,18 +53,11 @@ func groupPlan(g *ra.GroupBy, in relation.Schema) (gIdx, aIdx []int, out relatio
 // groupBy evaluates γ over the support of the input (the distinct tuples),
 // hash-partitioning into groups. Output rows are annotated One; the
 // semiring gate in exec.node restricts this to semirings whose annotations
-// carry no per-subinstance information (set, counting). Above the parallel
-// threshold the groups are hash-partitioned by group key across workers
-// (a group lives entirely in one shard, so each shard aggregates its groups
-// independently over members in input order) and the shard outputs
-// concatenate in shard order — deterministic for a fixed Parallelism.
+// carry no per-subinstance information (set, counting).
 func (e *exec[T]) groupBy(g *ra.GroupBy, in *Rel[T]) (*Rel[T], error) {
 	gIdx, aIdx, outSchema, err := groupPlan(g, in.Schema)
 	if err != nil {
 		return nil, err
-	}
-	if w := e.opts.workerCount(in.Len()); w > 1 {
-		return parallelGroupBy(e.s, g, in, gIdx, aIdx, outSchema, w)
 	}
 	out := NewRel[T](outSchema)
 

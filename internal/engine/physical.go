@@ -83,8 +83,7 @@ func newJoinSpec(q ra.Node, l, r relation.Schema, params map[string]relation.Val
 }
 
 // pair builds the output tuple of two key-matched input tuples, reporting
-// false when the residual θ-condition rejects them. The compiled predicate
-// closures are stateless, so the parallel join shares one spec.
+// false when the residual θ-condition rejects them.
 func (j *joinSpec) pair(lt, rt relation.Tuple) (relation.Tuple, bool, error) {
 	if j.natural {
 		return lt.Concat(rt.Project(j.rOnly)), true, nil
@@ -140,9 +139,8 @@ func (e *exec[T]) joinNode(q ra.Node) (*Rel[T], error) {
 }
 
 // join evaluates a join plan: a hash join on the equi-keys when there are
-// any (partitioned across workers above the parallel threshold), nested
-// loops otherwise. rIdx, when non-nil, is the hash join's key index over r,
-// already built.
+// any, nested loops otherwise. rIdx, when non-nil, is the hash join's key
+// index over r, already built.
 func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T], error) {
 	if j.natural && len(j.lKeys) == 0 && crossExceedsBudget(l.Len(), r.Len(), e.opts.rowBudget()) {
 		return nil, ErrRowBudget
@@ -150,9 +148,6 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 	out := NewRel[T](j.schema)
 	if l.Len() == 0 || r.Len() == 0 {
 		return out, nil
-	}
-	combine := func(li, ri int) (relation.Tuple, bool, error) {
-		return j.pair(l.Tuples[li], r.Tuples[ri])
 	}
 	var pairs int
 	emit := func(li, ri int) error {
@@ -173,7 +168,7 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 		if j.pred != nil {
 			var ok bool
 			var err error
-			if t, ok, err = combine(li, ri); err != nil || !ok {
+			if t, ok, err = j.pair(l.Tuples[li], r.Tuples[ri]); err != nil || !ok {
 				return err
 			}
 		}
@@ -188,7 +183,7 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 			return ErrRowBudget
 		}
 		if t == nil {
-			t, _, _ = combine(li, ri)
+			t, _, _ = j.pair(l.Tuples[li], r.Tuples[ri])
 		}
 		// Distinct pairs of distinct inputs form distinct tuples (a natural
 		// join's matched pair agrees on the shared columns).
@@ -196,9 +191,6 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 		return nil
 	}
 	if len(j.lKeys) > 0 {
-		if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
-			return out, parallelHashJoin(e.s, l, r, j.lKeys, j.rKeys, w, e.opts.rowBudget(), e.opts.Stop, combine, out)
-		}
 		if rIdx == nil {
 			rIdx = make(map[string][]int, r.Len())
 			indexKeys(rIdx, r, j.rKeys, 0)
@@ -246,29 +238,9 @@ func hashJoin[T any](l *Rel[T], rIdx map[string][]int, lKeys []int, emit func(li
 }
 
 // union hash-merges both inputs, ⊕-combining annotations of identical
-// tuples. Above the parallel threshold the merge is partitioned by tuple
-// hash; identical tuples land in the same shard and merge in left-then-
-// right order, matching the serial result annotation-for-annotation.
+// tuples.
 func (e *exec[T]) union(l, r *Rel[T]) *Rel[T] {
 	out := NewRel[T](l.Schema)
-	nl := l.Len()
-	if w := e.opts.workerCount(nl + r.Len()); w > 1 {
-		tupleAt := func(i int) relation.Tuple {
-			if i < nl {
-				return l.Tuples[i]
-			}
-			return r.Tuples[i-nl]
-		}
-		annAt := func(i int) (T, error) {
-			if i < nl {
-				return l.Anns[i], nil
-			}
-			return r.Anns[i-nl], nil
-		}
-		// annAt never fails, so neither does the build.
-		_ = parallelBuild(e.s, w, nl+r.Len(), tupleAt, annAt, out)
-		return out
-	}
 	for _, in := range []*Rel[T]{l, r} {
 		for i, t := range in.Tuples {
 			if !e.s.IsZero(in.Anns[i]) {
@@ -283,14 +255,8 @@ func (e *exec[T]) union(l, r *Rel[T]) *Rel[T] {
 // for the matching right annotation. Tuples whose combined annotation is
 // (definitely) zero are pruned: under the set and counting semirings that
 // is the classical set difference, while why-provenance keeps every left
-// tuple annotated PrvL ∧ ¬PrvR (Section 6). Above the parallel threshold
-// both sides are partitioned by full-tuple hash (matching tuples are
-// identical, so they land in the same shard) and the shards are differenced
-// concurrently.
+// tuple annotated PrvL ∧ ¬PrvR (Section 6).
 func (e *exec[T]) diff(l, r *Rel[T]) *Rel[T] {
-	if w := e.opts.workerCount(l.Len() + r.Len()); w > 1 {
-		return parallelDiff(e.s, l, r, w)
-	}
 	out := NewRelCap[T](l.Schema, l.Len())
 	for i, t := range l.Tuples {
 		rAnn := e.s.Zero()

@@ -112,13 +112,12 @@ func (r *PlanReport) observe(n ra.Node, rows int) {
 }
 
 // Plan applies the cost-based join planner to an (already optimized) query
-// against an instance. Statistics come from opts.Stats when set, else from
-// the instance's cached statistics (StatsOf). The returned tree evaluates
-// to exactly the same annotated result as q under every semiring; the only
-// error is a pre-execution ErrRowBudget when even the best join order's
-// estimated peak intermediate overshoots the row budget by
-// PlanRefuseFactor. Planning a nil database, or an already planned tree, is
-// a no-op.
+// against an instance, with the instance's cached statistics (StatsOf). The
+// returned tree evaluates to exactly the same annotated result as q under
+// every semiring; the only error is a pre-execution ErrRowBudget when even
+// the best join order's estimated peak intermediate overshoots the row
+// budget by PlanRefuseFactor. Planning a nil database, or an already planned
+// tree, is a no-op.
 func Plan(q ra.Node, db *relation.Database, opts Options) (ra.Node, error) {
 	return planWith(q, db, opts, true)
 }
@@ -146,13 +145,9 @@ func planWith(q ra.Node, db *relation.Database, opts Options, allowSemi bool) (r
 	if db == nil {
 		return q, nil
 	}
-	st := opts.Stats
-	if st == nil {
-		st = StatsOf(db)
-	}
 	p := &planner{
 		cat:       Catalog{DB: db},
-		stats:     st,
+		stats:     StatsOf(db),
 		budget:    opts.rowBudget(),
 		allowSemi: allowSemi,
 		report:    opts.Observer,

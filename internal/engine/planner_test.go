@@ -19,9 +19,9 @@ import (
 // plans biased toward multi-way join regions: natural join chains, θ-chains
 // and stars with renamed self-joins, NULL join keys, Diff towers over and
 // under regions, and γ barriers. It also covers the planner's interaction
-// with EvalBatchDiffs, PrepareDiff/ApplyDelta and the parallel operators, and
-// unit-tests the GYO reduction, the statistics provider, the join-graph
-// extraction, and the pre-execution row-budget refusal.
+// with EvalBatchDiffs and PrepareDiff/ApplyDelta, and unit-tests the GYO
+// reduction, the statistics provider, the join-graph extraction, and the
+// pre-execution row-budget refusal.
 
 // naturalChainPlan builds a k-way natural join chain of union-compatible
 // subplans. Every input shares the (a, b, c) schema, so each join matches on
@@ -317,31 +317,6 @@ func TestPlannerPreparedDiff(t *testing.T) {
 				!sameKeySets(keySet(on21.Tuples), keySet(off21.Tuples)) {
 				t.Fatalf("trial %d: delta diffs differ with planner\nq1: %s\nq2: %s", trial, q1, q2)
 			}
-		}
-	}
-}
-
-// TestPlannerParallelAgrees: planned parallel evaluation ≡ unplanned serial
-// evaluation (threshold forced to 0 so the partitioned operators engage on
-// the small random instances).
-func TestPlannerParallelAgrees(t *testing.T) {
-	saved := ParallelRowThreshold
-	ParallelRowThreshold = 0
-	t.Cleanup(func() { ParallelRowThreshold = saved })
-	rng := rand.New(rand.NewSource(4207))
-	for trial := 0; trial < 100; trial++ {
-		db := randomDB(rng)
-		q := randomPlannerPlan(rng, true)
-		par, errOn := RunOpts(Set, q, db, nil, Options{Parallelism: 4})
-		ser, errOff := RunOpts(Set, q, db, nil, Options{NoPlan: true})
-		if (errOn == nil) != (errOff == nil) {
-			t.Fatalf("trial %d: outcome differs: parallel=%v serial=%v\nquery: %s", trial, errOn, errOff, q)
-		}
-		if errOn != nil {
-			continue
-		}
-		if !sameKeySets(keySet(par.Tuples), keySet(ser.Tuples)) {
-			t.Fatalf("trial %d: planned parallel differs from unplanned serial\nquery: %s", trial, q)
 		}
 	}
 }

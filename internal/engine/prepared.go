@@ -201,10 +201,6 @@ func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relati
 			return nil, err
 		}
 	}
-	// The retained state is evaluated serially, so its tuple order — and
-	// the order Diffs and the delta results report — does not depend on
-	// Parallelism.
-	opts.Parallelism = 0
 	e := newExec[Count](Counting, db, params, opts)
 	e.retain = true
 	e.plans = map[ra.Node]any{}

@@ -1,7 +1,6 @@
 // Package pool provides the bounded worker pool shared by the parallel
-// fan-out loops: the engine's partitioned physical operators, the core
-// witness-search loops (Basic, OptSigmaAll), course grading, and the
-// experiment driver. Every fan-out is an index space [0, n) whose
+// fan-out loops: the core witness-search loops (Basic, OptSigmaAll), course
+// grading, and the experiment driver. Every fan-out is an index space [0, n) whose
 // iterations share no mutable state; callers collect results into
 // per-index slots, so output order — and therefore observable behavior —
 // stays deterministic regardless of scheduling.

@@ -2,7 +2,9 @@
 # `make lint test race bench-smoke` locally means a green CI run.
 
 GO ?= go
-RATESTLINT := $(shell $(GO) env GOPATH)/bin/ratestlint
+# Built inside the checkout (bin/ is git-ignored) so `make lint` never
+# touches a ratestlint installed elsewhere.
+RATESTLINT := $(CURDIR)/bin/ratestlint
 
 .PHONY: all lint test race bench-smoke fmt
 

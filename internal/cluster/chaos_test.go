@@ -58,14 +58,11 @@ func TestChaosFailoverStorm(t *testing.T) {
 		faults.Handler: {PanicEvery: 15},
 	})
 
-	// Three real workers. Degradation thresholds are raised out of reach so
-	// every served answer is full-fidelity and therefore replayable.
-	highCfg := server.Config{
-		MaxConcurrent:          8,
-		DegradeClampQueue:      1000,
-		DegradeSolverFreeQueue: 2000,
-		DegradeShedQueue:       4000,
-	}
+	// Three real workers. Every served answer must be full-fidelity and
+	// therefore replayable: MaxConcurrent 8 puts the degradation ladder's
+	// clamp at 16 waiting requests, and the frontend, itself limited to 8
+	// concurrent requests, cannot send that many.
+	highCfg := server.Config{MaxConcurrent: 8}
 	var workerLogs [3]syncBuffer
 	var workerTS [3]*httptest.Server
 	for i := 0; i < 3; i++ {

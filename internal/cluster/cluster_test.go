@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -649,5 +650,88 @@ func TestRequestIDPropagation(t *testing.T) {
 	if fes[0].Status != wes[0].Status || fes[0].CESize != wes[0].CESize {
 		t.Fatalf("frontend outcome (%s/%d) disagrees with worker outcome (%s/%d)",
 			fes[0].Status, fes[0].CESize, wes[0].Status, wes[0].CESize)
+	}
+}
+
+// --- unrouted requests ---
+
+// Clients only ever see the frontend's address, so every path it does not
+// serve must answer structured JSON too: an unknown path is a 404, and a
+// session path (any method) is a 404 that points at a worker's own address.
+func TestUnroutedIsStructuredAtFrontend(t *testing.T) {
+	_, ts1 := newWorker(t, server.Config{})
+	_, fts := newFrontend(t, Config{Workers: []string{ts1.URL}})
+	cases := []struct {
+		method, path, mention string
+	}{
+		{http.MethodPost, "/nope", "/nope"},
+		{http.MethodPost, "/session", "worker's own address"},
+		{http.MethodPut, "/session/s1", "worker's own address"},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, fts.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body server.ExplainResponse
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s %s: non-JSON body: %v", tc.method, tc.path, err)
+		}
+		if resp.StatusCode != http.StatusNotFound || body.Status != server.StatusError || !strings.Contains(body.Error, tc.mention) {
+			t.Errorf("%s %s = %d / %q (%s), want 404 / error mentioning %q", tc.method, tc.path, resp.StatusCode, body.Status, body.Error, tc.mention)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.path, ct)
+		}
+	}
+}
+
+// --- adaptive hedging ---
+
+// HedgeAfter 0 (the default) derives the hedge delay from the latency
+// EWMA: a tenth of the default budget while cold, then twice the EWMA
+// with a 5ms floor; a negative HedgeAfter disables hedging.
+func TestAdaptiveHedgeDelay(t *testing.T) {
+	frontend := func(hedgeAfter time.Duration) *Frontend {
+		f, err := New(Config{
+			Workers:        []string{"127.0.0.1:1"},
+			DefaultTimeout: 2 * time.Second,
+			HedgeAfter:     hedgeAfter,
+			HealthInterval: -1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = f.Close() })
+		return f
+	}
+
+	f := frontend(0)
+	if d := f.hedgeDelay(); d != 200*time.Millisecond {
+		t.Fatalf("cold hedge delay = %v, want DefaultTimeout/10 = 200ms", d)
+	}
+	// The first served request seeds the EWMA with its own latency.
+	if ms := f.Observe(time.Now().Add(-40 * time.Millisecond)); f.Latency() != ms {
+		t.Fatalf("EWMA after one %vms sample = %v, want the sample", ms, f.Latency())
+	}
+	want := time.Duration(2 * f.Latency() * float64(time.Millisecond))
+	if d := f.hedgeDelay(); d != want || d < 80*time.Millisecond {
+		t.Fatalf("warm hedge delay = %v, want 2× the %vms EWMA", d, f.Latency())
+	}
+
+	fast := frontend(0)
+	fast.Observe(time.Now().Add(-time.Millisecond))
+	if d := fast.hedgeDelay(); d != 5*time.Millisecond {
+		t.Fatalf("hedge delay behind a ~1ms EWMA = %v, want the 5ms floor", d)
+	}
+
+	if d := frontend(-1).hedgeDelay(); d != 0 {
+		t.Fatalf("disabled hedge delay = %v, want 0", d)
 	}
 }

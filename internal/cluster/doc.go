@@ -30,15 +30,30 @@
 // remains, a second try starts on another replica and the first result
 // wins.
 //
-// The frontend itself keeps the PR 8 serving guarantees: panic-isolated
-// handlers, drain on SIGTERM (503 + Retry-After, in-flight requests
-// finish, stragglers budget-cancel), structured errors for every outcome,
-// and an audit log whose entries join with the workers' logs on the
-// frontend-assigned X-Ratest-Request-Id for cluster-wide replay
-// verification (ratestd -replay frontend.jsonl,worker1.jsonl,...).
+// # The request gate
+//
+// The frontend serves through the same request gate as a worker
+// (server.Gate, embedded in [Frontend]): panic-isolated handlers, drain on
+// SIGTERM (503 + Retry-After, in-flight requests finish, stragglers
+// budget-cancel), the budget clamp, tenant fairness — enforced exactly
+// once, here, for the whole cluster — fair admission, the latency EWMA
+// that drives adaptive hedging and Retry-After, structured errors for
+// every outcome (an unknown path included), and an audit log whose entries
+// join with the workers' logs on the frontend-assigned
+// X-Ratest-Request-Id for cluster-wide replay verification (ratestd
+// -replay frontend.jsonl,worker1.jsonl,...). This package keeps only what
+// is the frontend's own: routing, breakers, health checks, backoff,
+// hedging and the transport.
+//
+// Sessions are not routed: a live-grading session's state lives on the
+// worker that created it, so clients use that worker's own address, and
+// the frontend answers /session paths with a structured 404 saying so.
 //
 // Fault injection: the transport threads every proxied request through
 // the faults package's network points (cluster.dial, cluster.body,
 // cluster.truncate), so the seeded chaos machinery drives the whole
-// frontend→worker path. See docs/OPERATIONS.md for the topology runbook.
+// frontend→worker path. The gate's handler fault point (server.handler)
+// fires on workers only, so a storm that arms it for a whole process
+// panics in-process workers, never the frontend. See docs/OPERATIONS.md
+// for the topology runbook.
 package cluster

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"os"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -29,8 +27,9 @@ type Config struct {
 	// request may spend across replicas (default 3).
 	MaxAttempts int
 	// MaxConcurrent bounds proxied requests in flight; further requests
-	// queue in the tenant-fair admission queue. The frontend only shuttles
-	// bytes, so the default is 4× the worker-side pool parallelism.
+	// queue in the gate's tenant-fair admission queue. The frontend only
+	// shuttles bytes, so the default is 4× the worker-side pool
+	// parallelism.
 	MaxConcurrent int
 	// DefaultTimeout / MaxTimeout bound the per-request wall-clock budget
 	// exactly like the worker server (defaults 10s / 60s); the frontend
@@ -43,8 +42,6 @@ type Config struct {
 	// hedging covers stalled workers). Set it when fast failover matters
 	// more than letting slow-but-alive workers finish.
 	TryTimeout time.Duration
-	// MaxBodyBytes caps a client request body (default 8 MiB).
-	MaxBodyBytes int64
 
 	// BreakerThreshold consecutive failures open a worker's circuit
 	// breaker for BreakerCooldown, after which a single half-open probe
@@ -105,9 +102,6 @@ func (c Config) Normalize() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
 	}
@@ -147,52 +141,34 @@ type worker struct {
 }
 
 // Frontend is the stateless routing tier: it holds no instance or plan
-// caches, only the routing ring, per-worker breakers, the tenant-fairness
-// gates, and its audit log. Losing a frontend loses nothing but open
-// connections.
+// caches, only the routing ring, per-worker breakers and its request gate
+// (the same gate a worker server runs: lifecycle, tenant fairness,
+// admission, budgets, latency EWMA, audit log). Losing a frontend loses
+// nothing but open connections.
 type Frontend struct {
-	cfg       Config
-	workers   []*worker
-	ring      *ring
-	rr        atomic.Uint64
-	limiter   *server.TenantLimiter
-	admission *server.FairQueue
-	audit     *server.AuditSink
-	client    *http.Client
-	backoff   *backoff
-	reqSeq    atomic.Uint64
-	started   time.Time
-
-	// Lifecycle (mirrors the worker server: ready → draining, with a
-	// hard-cancel fanned out to in-flight requests).
-	state      atomic.Int32
-	hardCtx    context.Context
-	hardCancel context.CancelFunc
+	*server.Gate
+	cfg     Config
+	workers []*worker
+	ring    *ring
+	rr      atomic.Uint64
+	client  *http.Client
+	backoff *backoff
+	reqSeq  atomic.Uint64
 
 	// Health checker plumbing.
 	healthCancel context.CancelFunc
 	healthDone   chan struct{}
 
-	// latEWMA holds math.Float64bits of the served-latency EWMA (ms).
-	latEWMA atomic.Uint64
-
-	// Counters (atomics: /stats reads them while handlers write).
-	explainReqs   atomic.Int64
-	gradeReqs     atomic.Int64
-	served        atomic.Int64
-	retries       atomic.Int64
-	hedges        atomic.Int64
-	failOpen      atomic.Int64
-	unavailable   atomic.Int64
-	budgetLocal   atomic.Int64
-	shed          atomic.Int64
-	drainRefused  atomic.Int64
-	rateLimited   atomic.Int64
-	ejections     atomic.Int64
-	readmissions  atomic.Int64
-	panicsCovered atomic.Int64
-	inFlight      atomic.Int64
-	waiting       atomic.Int64
+	// Counters (atomics: /stats reads them while handlers write); the
+	// gate keeps the refusal, rate-limit and panic counters.
+	explainReqs  atomic.Int64
+	gradeReqs    atomic.Int64
+	served       atomic.Int64
+	retries      atomic.Int64
+	hedges       atomic.Int64
+	failOpen     atomic.Int64
+	ejections    atomic.Int64
+	readmissions atomic.Int64
 }
 
 // New builds a Frontend and starts its health checker. It fails on an
@@ -206,26 +182,28 @@ func New(cfg Config) (*Frontend, error) {
 	for i, u := range cfg.Workers {
 		urls[i] = normalizeWorkerURL(u)
 	}
-	audit, err := server.NewAuditSink(cfg.AuditPath, cfg.AuditWriter)
+	gate, err := server.NewGate(server.RoleFrontend, server.Config{
+		MaxConcurrent:  cfg.MaxConcurrent,
+		DefaultTimeout: cfg.DefaultTimeout,
+		MaxTimeout:     cfg.MaxTimeout,
+		TenantRate:     cfg.TenantRate,
+		TenantBurst:    cfg.TenantBurst,
+		AuditPath:      cfg.AuditPath,
+		AuditWriter:    cfg.AuditWriter,
+	})
 	if err != nil {
 		return nil, err
 	}
-	hardCtx, hardCancel := context.WithCancel(context.Background())
 	f := &Frontend{
-		cfg:       cfg,
-		ring:      newRing(urls),
-		limiter:   server.NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		admission: server.NewFairQueue(cfg.MaxConcurrent),
-		audit:     audit,
-		backoff:   newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed),
-		started:   time.Now(),
+		Gate:    gate,
+		cfg:     cfg,
+		ring:    newRing(urls),
+		backoff: newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.Seed),
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        64,
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     30 * time.Second,
 		}},
-		hardCtx:    hardCtx,
-		hardCancel: hardCancel,
 	}
 	for _, u := range urls {
 		f.workers = append(f.workers, &worker{
@@ -245,60 +223,40 @@ func normalizeWorkerURL(u string) string {
 	return u
 }
 
-// Handler returns the frontend's HTTP routing table, panic-isolated like
-// the worker server's.
+// Handler returns the frontend's HTTP routing table, built by its gate
+// like the worker's. Sessions are not routed: a session's state lives on
+// the one worker that created it, so /session paths answer a structured
+// 404 that points clients at a worker's own address.
 func (f *Frontend) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/explain", f.wrap("/explain", func(w http.ResponseWriter, r *http.Request) {
-		f.explainReqs.Add(1)
-		f.proxy(w, r, "/explain")
-	}))
-	mux.HandleFunc("/grade", f.wrap("/grade", func(w http.ResponseWriter, r *http.Request) {
-		f.gradeReqs.Add(1)
-		f.proxy(w, r, "/grade")
-	}))
-	mux.HandleFunc("/healthz", f.wrap("/healthz", f.handleHealthz))
-	mux.HandleFunc("/stats", f.wrap("/stats", f.handleStats))
-	return mux
-}
-
-func (f *Frontend) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				f.panicsCovered.Add(1)
-				f.audit.Append(&server.AuditEntry{
-					Role:       server.RoleFrontend,
-					Endpoint:   endpoint,
-					HTTPStatus: http.StatusInternalServerError,
-					Status:     server.StatusError,
-					Error:      "panic recovered in frontend handler",
-					Panic:      fmt.Sprint(rec),
-					Stack:      string(debug.Stack()),
-				})
-				writeJSON(w, http.StatusInternalServerError, &server.ExplainResponse{
-					Status: server.StatusError,
-					Error:  fmt.Sprintf("internal error (recovered): %v", rec),
-				})
-			}
-		}()
-		h(w, r)
+	noSessions := func(w http.ResponseWriter, r *http.Request) {
+		f.Refuse(w, &server.Refusal{
+			HTTPStatus: http.StatusNotFound,
+			Status:     server.StatusError,
+			Error:      "sessions are served only at a worker's own address; the frontend routes /explain and /grade",
+		}, time.Now())
 	}
+	return f.Mux([]server.Route{
+		{Pattern: "/explain", Endpoint: "/explain", Handler: func(w http.ResponseWriter, r *http.Request) {
+			f.explainReqs.Add(1)
+			f.proxy(w, r, "/explain")
+		}},
+		{Pattern: "/grade", Endpoint: "/grade", Handler: func(w http.ResponseWriter, r *http.Request) {
+			f.gradeReqs.Add(1)
+			f.proxy(w, r, "/grade")
+		}},
+		{Pattern: "/session", Endpoint: "/session", Handler: noSessions},
+		{Pattern: "/session/", Endpoint: "/session", Handler: noSessions},
+	}, f.health, f.stats)
 }
 
-// proxy is the full frontend request path: fairness gates, routing,
-// resilient forwarding, response relay, audit.
+// proxy is the full frontend request path: the gate (drain, tenant
+// fairness, admission under the request budget), routing, resilient
+// forwarding, response relay, audit.
 func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	start := time.Now()
-	if r.Method != http.MethodPost {
-		f.refuse(w, nil, path, "", "", http.StatusMethodNotAllowed, server.StatusError, 0,
-			fmt.Sprintf("%s requires POST", path), start)
-		return
-	}
-	payload, err := io.ReadAll(http.MaxBytesReader(w, r.Body, f.cfg.MaxBodyBytes))
-	if err != nil {
-		f.refuse(w, nil, path, "", "", http.StatusBadRequest, server.StatusError, 0,
-			fmt.Sprintf("reading request body: %v", err), start)
+	payload, refused := server.ReadBody(w, r)
+	if refused != nil {
+		f.refuse(w, nil, path, "", "", refused, start)
 		return
 	}
 	// The frontend peeks at just the routing- and fairness-relevant fields;
@@ -312,42 +270,14 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string) {
 	_ = json.Unmarshal(payload, &probe)
 	tenant := server.TenantOf(probe.Tenant, r.Header.Get("X-Tenant"))
 
-	// Lifecycle gate.
-	if f.Draining() {
-		f.drainRefused.Add(1)
-		f.refuse(w, payload, path, tenant, "", http.StatusServiceUnavailable, server.StatusDraining,
-			f.retryAfterS(), "frontend is draining; retry against another frontend", start)
+	// Tenant fairness is enforced here, exactly once for the whole cluster.
+	pass, refused := f.Enter(r.Context(), tenant, probe.TimeoutMS)
+	if refused != nil {
+		f.refuse(w, payload, path, tenant, "", refused, start)
 		return
 	}
-	// Tenant fairness, enforced exactly once for the whole cluster.
-	if ok, wait := f.limiter.Allow(tenant, time.Now()); !ok {
-		f.rateLimited.Add(1)
-		f.shed.Add(1)
-		f.refuse(w, payload, path, tenant, "", http.StatusTooManyRequests, server.StatusShed,
-			int(wait/time.Second)+1, fmt.Sprintf("tenant %q is over its request rate; retry later", tenant), start)
-		return
-	}
-
-	budget := f.budget(probe.TimeoutMS)
-	ctx, cancel := context.WithTimeout(r.Context(), budget)
-	defer cancel()
-	unbind := context.AfterFunc(f.hardCtx, cancel)
-	defer unbind()
-
-	f.waiting.Add(1)
-	admitted := f.admission.Acquire(ctx, tenant)
-	f.waiting.Add(-1)
-	if !admitted {
-		f.budgetLocal.Add(1)
-		f.refuse(w, payload, path, tenant, "", http.StatusOK, server.StatusBudgetExceeded, 0,
-			fmt.Sprintf("request spent its %v budget queued for admission", budget), start)
-		return
-	}
-	f.inFlight.Add(1)
-	defer func() {
-		f.inFlight.Add(-1)
-		f.admission.Release()
-	}()
+	defer pass.Done()
+	ctx := pass.Ctx
 
 	reqID := fmt.Sprintf("%s-%06d", f.cfg.IDPrefix, f.reqSeq.Add(1))
 	order := f.route(path, probe.Instance)
@@ -364,17 +294,18 @@ func (f *Frontend) proxy(w http.ResponseWriter, r *http.Request, path string) {
 		// not the context's timer has fired yet): same structured outcome
 		// as a worker-side budget expiry, so clients see one shape either
 		// way.
-		f.budgetLocal.Add(1)
-		f.refuse(w, payload, path, tenant, reqID, http.StatusOK, server.StatusBudgetExceeded, 0,
-			fmt.Sprintf("request budget elapsed after %d attempt(s): %v", attempts, res.err), start)
+		f.refuse(w, payload, path, tenant, reqID, &server.Refusal{
+			HTTPStatus: http.StatusOK,
+			Status:     server.StatusBudgetExceeded,
+			Error:      fmt.Sprintf("request budget elapsed after %d attempt(s): %v", attempts, res.err),
+		}, start)
 	default:
-		f.unavailable.Add(1)
 		detail := "no worker replica available"
 		if res.err != nil {
 			detail = res.err.Error()
 		}
-		f.refuse(w, payload, path, tenant, reqID, http.StatusServiceUnavailable, server.StatusUnavailable,
-			f.retryAfterS(), fmt.Sprintf("all %d attempt(s) failed; last: %s", attempts, detail), start)
+		f.refuse(w, payload, path, tenant, reqID,
+			f.Unavailable(fmt.Sprintf("all %d attempt(s) failed; last: %s", attempts, detail)), start)
 	}
 }
 
@@ -537,7 +468,7 @@ func (f *Frontend) hedgeDelay() time.Duration {
 	if f.cfg.HedgeAfter > 0 {
 		return f.cfg.HedgeAfter
 	}
-	ewma := f.latency()
+	ewma := f.Latency()
 	if ewma <= 0 {
 		return f.cfg.DefaultTimeout / 10
 	}
@@ -551,8 +482,7 @@ func (f *Frontend) hedgeDelay() time.Duration {
 // serve relays a final worker response to the client and audits it.
 func (f *Frontend) serve(w http.ResponseWriter, res tryResult, path string, payload []byte, tenant, reqID string, attempts int, start time.Time) {
 	f.served.Add(1)
-	elapsed := msSince(start)
-	f.observeLatency(elapsed)
+	elapsed := f.Observe(start)
 
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
@@ -579,7 +509,6 @@ func (f *Frontend) serve(w http.ResponseWriter, res tryResult, path string, payl
 	}
 	_ = json.Unmarshal(res.body, &parsed)
 	e := &server.AuditEntry{
-		Role:       server.RoleFrontend,
 		Endpoint:   path,
 		Tenant:     tenant,
 		RequestID:  reqID,
@@ -598,37 +527,27 @@ func (f *Frontend) serve(w http.ResponseWriter, res tryResult, path string, payl
 		e.Witness = ce.Witness
 	}
 	attachRequest(e, path, payload)
-	f.audit.Append(e)
+	f.Audit(e)
 }
 
 // refuse writes a frontend-originated structured response (drain, shed,
 // local budget expiry, unavailability, malformed transport) and audits it.
-func (f *Frontend) refuse(w http.ResponseWriter, payload []byte, path, tenant, reqID string, httpStatus int, status string, retryAfterS int, errMsg string, start time.Time) {
-	elapsed := msSince(start)
-	if retryAfterS > 0 {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterS))
-	}
+func (f *Frontend) refuse(w http.ResponseWriter, payload []byte, path, tenant, reqID string, ref *server.Refusal, start time.Time) {
 	if reqID != "" {
 		w.Header().Set(server.HeaderRequestID, reqID)
 	}
-	writeJSON(w, httpStatus, &server.ExplainResponse{
-		Status:      status,
-		RetryAfterS: retryAfterS,
-		ElapsedMS:   elapsed,
-		Error:       errMsg,
-	})
+	elapsed := f.Refuse(w, ref, start)
 	e := &server.AuditEntry{
-		Role:       server.RoleFrontend,
 		Endpoint:   path,
 		Tenant:     tenant,
 		RequestID:  reqID,
-		HTTPStatus: httpStatus,
-		Status:     status,
-		Error:      errMsg,
+		HTTPStatus: ref.HTTPStatus,
+		Status:     ref.Status,
+		Error:      ref.Error,
 		ElapsedMS:  elapsed,
 	}
 	attachRequest(e, path, payload)
-	f.audit.Append(e)
+	f.Audit(e)
 }
 
 // attachRequest parses the raw payload back into the typed request so the
@@ -651,85 +570,6 @@ func attachRequest(e *server.AuditEntry, path string, payload []byte) {
 	}
 }
 
-// budget clamps a requested timeout to the frontend's bounds.
-func (f *Frontend) budget(timeoutMS int64) time.Duration {
-	d := f.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > f.cfg.MaxTimeout {
-		d = f.cfg.MaxTimeout
-	}
-	return d
-}
-
-// Latency EWMA (α=0.2), CAS on the float bits — same scheme as the worker
-// server's degradation signal.
-func (f *Frontend) observeLatency(ms float64) {
-	const alpha = 0.2
-	for {
-		old := f.latEWMA.Load()
-		cur := math.Float64frombits(old)
-		next := ms
-		if old != 0 {
-			next = alpha*ms + (1-alpha)*cur
-		}
-		if f.latEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-func (f *Frontend) latency() float64 { return math.Float64frombits(f.latEWMA.Load()) }
-
-// retryAfterS estimates when retrying is worthwhile from the latency EWMA
-// and queue depth, mirroring the worker server's adaptive Retry-After.
-func (f *Frontend) retryAfterS() int {
-	ewma := f.latency()
-	if ewma <= 0 {
-		ewma = float64(f.cfg.DefaultTimeout.Milliseconds()) / 4
-	}
-	waiting := float64(f.waiting.Load())
-	s := int(math.Ceil(ewma * (waiting + 1) / float64(f.cfg.MaxConcurrent) / 1000))
-	if s < 1 {
-		return 1
-	}
-	if s > 60 {
-		return 60
-	}
-	return s
-}
-
-// Lifecycle. A frontend is born ready; BeginDrain moves it to draining
-// (new requests get 503 + Retry-After, in-flight proxies finish),
-// CancelInFlight budget-cancels stragglers, Close stops the health
-// checker and closes the audit log.
-const (
-	stateReady int32 = iota
-	stateDraining
-)
-
-// StateName reports the lifecycle state for /healthz and /stats.
-func (f *Frontend) StateName() string {
-	if f.state.Load() == stateDraining {
-		return "draining"
-	}
-	return "ready"
-}
-
-// Draining reports whether the frontend has stopped admitting work.
-func (f *Frontend) Draining() bool { return f.state.Load() == stateDraining }
-
-// BeginDrain stops admitting new requests; in-flight proxies keep their
-// budgets. Safe to call more than once.
-func (f *Frontend) BeginDrain() { f.state.Store(stateDraining) }
-
-// CancelInFlight budget-cancels every in-flight proxied request.
-func (f *Frontend) CancelInFlight() { f.hardCancel() }
-
-// InFlight reports currently proxied requests (drain sequencing).
-func (f *Frontend) InFlight() int64 { return f.inFlight.Load() }
-
 // Close stops the health checker and closes the audit log. Call after the
 // HTTP listener has shut down.
 func (f *Frontend) Close() error {
@@ -737,11 +577,12 @@ func (f *Frontend) Close() error {
 		f.healthCancel()
 		<-f.healthDone
 	}
-	return f.audit.Close()
+	return f.Gate.Close()
 }
 
-func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	state := f.StateName()
+// health is the frontend's part of GET /healthz: each worker's breaker
+// and ejection state.
+func (f *Frontend) health() map[string]any {
 	var ws []map[string]any
 	for _, wk := range f.workers {
 		ws = append(ws, map[string]any{
@@ -750,74 +591,34 @@ func (f *Frontend) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			"ejected": wk.ejected.Load(),
 		})
 	}
-	body := map[string]any{
-		"status":   "ok",
-		"role":     "frontend",
-		"state":    state,
-		"workers":  ws,
-		"uptime_s": time.Since(f.started).Seconds(),
-	}
-	code := http.StatusOK
-	if state == "draining" {
-		body["status"] = "draining"
-		if r.URL.Query().Get("probe") != "live" {
-			code = http.StatusServiceUnavailable
-		}
-	}
-	writeJSON(w, code, body)
+	return map[string]any{"workers": ws}
 }
 
-func (f *Frontend) handleStats(w http.ResponseWriter, r *http.Request) {
-	auditSeq, auditDropped := f.audit.Counters()
+// stats is the frontend's part of GET /stats; the gate adds role, uptime,
+// state, admission gauges, the latency EWMA and the audit counters.
+func (f *Frontend) stats() map[string]any {
 	breakers := map[string]string{}
 	ejected := map[string]bool{}
 	for _, wk := range f.workers {
 		breakers[wk.url] = wk.breaker.stateName()
 		ejected[wk.url] = wk.ejected.Load()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"role":     "frontend",
-		"uptime_s": time.Since(f.started).Seconds(),
-		"state":    f.StateName(),
+	responses := f.Counters(server.StatusUnavailable, server.StatusBudgetExceeded, server.StatusShed, server.StatusDraining)
+	responses["served"] = f.served.Load()
+	resilience := f.Counters("rate_limited", "panics_recovered")
+	resilience["retries"] = f.retries.Load()
+	resilience["hedges"] = f.hedges.Load()
+	resilience["fail_open_picks"] = f.failOpen.Load()
+	resilience["ejections"] = f.ejections.Load()
+	resilience["readmissions"] = f.readmissions.Load()
+	return map[string]any{
 		"requests": map[string]int64{
 			"explain": f.explainReqs.Load(),
 			"grade":   f.gradeReqs.Load(),
 		},
-		"responses": map[string]int64{
-			"served":          f.served.Load(),
-			"unavailable":     f.unavailable.Load(),
-			"budget_exceeded": f.budgetLocal.Load(),
-			"shed":            f.shed.Load(),
-			"draining":        f.drainRefused.Load(),
-		},
-		"resilience": map[string]int64{
-			"retries":          f.retries.Load(),
-			"hedges":           f.hedges.Load(),
-			"fail_open_picks":  f.failOpen.Load(),
-			"ejections":        f.ejections.Load(),
-			"readmissions":     f.readmissions.Load(),
-			"rate_limited":     f.rateLimited.Load(),
-			"panics_recovered": f.panicsCovered.Load(),
-		},
-		"breakers": breakers,
-		"ejected":  ejected,
-		"admission": map[string]int64{
-			"limit":     int64(f.cfg.MaxConcurrent),
-			"in_flight": f.inFlight.Load(),
-			"waiting":   f.waiting.Load(),
-		},
-		"latency_ewma_ms": f.latency(),
-		"audit": map[string]int64{
-			"entries": auditSeq,
-			"dropped": auditDropped,
-		},
-	})
+		"responses":  responses,
+		"resilience": resilience,
+		"breakers":   breakers,
+		"ejected":    ejected,
+	}
 }
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }

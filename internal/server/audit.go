@@ -104,46 +104,6 @@ func newAuditLog(path string, w io.Writer) (*auditLog, error) {
 	return &auditLog{w: f, f: f}, nil
 }
 
-// AuditSink is the exported audit-log handle the cluster frontend writes
-// through: the same JSONL format and drop-on-write-error semantics as the
-// server's own log, so frontend and worker logs join cleanly in -replay. A
-// nil *AuditSink discards everything.
-type AuditSink struct{ log *auditLog }
-
-// NewAuditSink opens an audit sink on a writer (which wins) or an
-// append-only file path; both empty means a discarding sink.
-func NewAuditSink(path string, w io.Writer) (*AuditSink, error) {
-	l, err := newAuditLog(path, w)
-	if err != nil {
-		return nil, err
-	}
-	return &AuditSink{log: l}, nil
-}
-
-// Append writes one entry, stamping seq and time.
-func (s *AuditSink) Append(e *AuditEntry) {
-	if s == nil {
-		return
-	}
-	s.log.append(e)
-}
-
-// Close flushes and closes the sink.
-func (s *AuditSink) Close() error {
-	if s == nil {
-		return nil
-	}
-	return s.log.Close()
-}
-
-// Counters reports entries written and entries dropped to write errors.
-func (s *AuditSink) Counters() (entries, dropped int64) {
-	if s == nil {
-		return 0, 0
-	}
-	return s.log.counters()
-}
-
 // append writes one entry, stamping seq and time. Write failures drop the
 // entry (and count it) rather than failing the request: the audit log is
 // an observer, not a participant.

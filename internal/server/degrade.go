@@ -1,23 +1,25 @@
 package server
 
-import (
-	"math"
-	"time"
-)
+import "time"
 
 // The degradation ladder: under overload the server steps requests down
 // instead of refusing them outright. Levels are decided per request from
 // two signals — the admission queue depth and an EWMA of recent request
-// latency — against thresholds scaled off MaxConcurrent:
+// latency — against fixed rules scaled off MaxConcurrent and
+// DefaultTimeout. Only a worker runs the ladder; the frontend only
+// shuttles bytes.
 //
 //	level 0  normal        full explain under the requested budgets
-//	level 1  clamped       wall-clock budget clamped to DegradedTimeout,
-//	                       SAT conflicts clamped to DegradedMaxConflicts
-//	level 2  solver_free   level 1 clamps plus the solver-free path:
-//	                       agree-check + greedy shrink (core.ShrinkGreedy),
-//	                       which still yields a verified counterexample,
-//	                       just not a guaranteed-minimal one
-//	level 3  shed          429 with Retry-After — the queue is past saving
+//	level 1  clamped       ≥ 2×MaxConcurrent waiting: wall-clock budget
+//	                       clamped to DefaultTimeout/4, SAT conflicts to
+//	                       degradedMaxConflicts
+//	level 2  solver_free   ≥ 4×MaxConcurrent waiting: level 1 clamps plus
+//	                       the solver-free path, agree-check + greedy
+//	                       shrink (core.ShrinkGreedy), which still yields
+//	                       a verified counterexample, just not a
+//	                       guaranteed-minimal one
+//	level 3  shed          ≥ 8×MaxConcurrent waiting: 429 with
+//	                       Retry-After — the queue is past saving
 //
 // Responses carry the applied level in the "degraded" field so clients and
 // the audit log can tell a full answer from a degraded one.
@@ -27,6 +29,9 @@ const (
 	degradeSolverFree
 	degradeShed
 )
+
+// degradedMaxConflicts is the per-SAT-call conflict cap from level 1 up.
+const degradedMaxConflicts = 20_000
 
 // degradeName maps a ladder level to its response/docs name.
 func degradeName(level int) string {
@@ -43,77 +48,33 @@ func degradeName(level int) string {
 
 // degradeLevel reads the overload signals and picks the ladder level for a
 // newly arrived request.
-func (srv *Server) degradeLevel() int {
-	waiting := int(srv.waiting.Load())
+func (g *Gate) degradeLevel() int {
+	waiting, slots := int(g.waiting.Load()), g.cfg.MaxConcurrent
 	switch {
-	case waiting >= srv.cfg.DegradeShedQueue:
+	case waiting >= 8*slots:
 		return degradeShed
-	case waiting >= srv.cfg.DegradeSolverFreeQueue:
+	case waiting >= 4*slots:
 		return degradeSolverFree
-	case waiting >= srv.cfg.DegradeClampQueue:
+	case waiting >= 2*slots:
 		return degradeClamped
 	}
 	// Latency signal: when recent requests are chewing most of the default
 	// budget the server is compute-bound even if the queue is short (a few
 	// heavy tenants rather than many light ones); start clamping early.
-	if ewma := srv.latency(); ewma > 0.75*float64(srv.cfg.DefaultTimeout.Milliseconds()) {
+	if g.Latency() > 0.75*float64(g.cfg.DefaultTimeout.Milliseconds()) {
 		return degradeClamped
 	}
 	return degradeNone
 }
 
-// observeLatency folds one finished request's total latency into the EWMA
-// (α = 0.1, i.e. roughly the last 10 requests dominate).
-func (srv *Server) observeLatency(ms float64) {
-	for {
-		old := srv.latEWMA.Load()
-		cur := math.Float64frombits(old)
-		next := cur*0.9 + ms*0.1
-		if srv.latEWMA.CompareAndSwap(old, math.Float64bits(next)) {
-			return
-		}
-	}
-}
-
-// latency returns the current latency EWMA in milliseconds.
-func (srv *Server) latency() float64 {
-	return math.Float64frombits(srv.latEWMA.Load())
-}
-
-// retryAfterS derives Retry-After for 429 shed and 503 draining responses
-// from live signals instead of a constant: the latency EWMA estimates
-// per-request service time and the queue depth says how much backlog must
-// drain before a returning client could be admitted — queue-ahead ×
-// service-time ÷ slots, clamped to [1s, 60s]. Frontend backoff and client
-// retry schedules thereby track real recovery time: an idle server says
-// "come right back", a deeply backed-up one pushes clients out far enough
-// that their retries don't re-amplify the overload.
-func (srv *Server) retryAfterS() int {
-	ewma := srv.latency()
-	if ewma <= 0 {
-		// Cold server, no latency signal yet: assume a quarter of the
-		// default budget per queued request.
-		ewma = float64(srv.cfg.DefaultTimeout.Milliseconds()) / 4
-	}
-	waiting := float64(srv.waiting.Load())
-	s := int(math.Ceil(ewma * (waiting + 1) / float64(srv.cfg.MaxConcurrent) / 1000))
-	if s < 1 {
-		return 1
-	}
-	if s > 60 {
-		return 60
-	}
-	return s
-}
-
 // clampBudgets applies the level-1+ budget clamps to a request's effective
 // budget and conflict cap.
-func (srv *Server) clampBudgets(budget time.Duration, maxConflicts int64) (time.Duration, int64) {
-	if budget > srv.cfg.DegradedTimeout {
-		budget = srv.cfg.DegradedTimeout
+func (g *Gate) clampBudgets(budget time.Duration, maxConflicts int64) (time.Duration, int64) {
+	if degraded := g.cfg.DefaultTimeout / 4; budget > degraded {
+		budget = degraded
 	}
-	if maxConflicts <= 0 || maxConflicts > srv.cfg.DegradedMaxConflicts {
-		maxConflicts = srv.cfg.DegradedMaxConflicts
+	if maxConflicts <= 0 || maxConflicts > degradedMaxConflicts {
+		maxConflicts = degradedMaxConflicts
 	}
 	return budget, maxConflicts
 }

@@ -24,6 +24,22 @@
 //     gauges, recovered-panic and shed counts, session and revision-path
 //     counters, the latency EWMA.
 //
+// A path or method no endpoint serves answers a structured 404 or 405
+// (status "error") like every other failure.
+//
+// # The request gate
+//
+// Everything a request passes through before and after its work lives in
+// one [Gate], which the [Server] embeds and the cluster frontend
+// (internal/cluster) embeds too, so both tiers share one implementation:
+// the panic-isolation wrapper, the ready → draining lifecycle and its hard
+// cancel, the budget clamp, the per-tenant rate limit and fair admission
+// with their gauges, the latency EWMA and adaptive Retry-After, the audit
+// log, the response counters, and the fields /healthz and /stats share.
+// /explain, /grade, POST /session and session revisions enter through one
+// [Gate.Enter] call; the worker additionally runs the degradation ladder
+// there, which the frontend does not.
+//
 // # Caching
 //
 // Two LRU caches persist across requests. The plan cache maps
@@ -59,7 +75,7 @@
 // queueing, so a request that spends its budget waiting is refused rather
 // than run late. Admission is fair-queued per tenant (round-robin across
 // tenants with waiters) with optional per-tenant token-bucket rate limits
-// in front.
+// in front; both belong to the gate.
 //
 // # Sessions
 //
@@ -72,10 +88,11 @@
 // past the cap evicts the least recently used session, and an evicted,
 // deleted, or poisoned session answers structured 404s — the client
 // contract is "recreate and replay your edits". Creation and revision
-// pass the same admission, tenant-fairness, drain and degradation gates
-// as /explain. A panic mid-revision fail-stops that session (it is
-// removed and counted in stats) rather than leaving half-mutated state
-// resident. Audit entries carry the session id and payloads; Replay
+// enter through the same gate as /explain. A session lives on the worker
+// that created it: clients address that worker directly, and the cluster
+// frontend answers /session paths with a structured 404. A panic
+// mid-revision fail-stops that session (it is removed and counted in
+// stats) rather than leaving half-mutated state resident. Audit entries carry the session id and payloads; Replay
 // re-runs each session's create/revise stream in log order, cutting the
 // stream off at the first non-replayable entry instead of reporting
 // false mismatches.
@@ -91,7 +108,9 @@
 // Retry-After while in-flight ones finish under their budgets, then
 // stragglers are budget-cancelled into structured 200s. Overload walks a
 // degradation ladder (clamped budgets → solver-free greedy shrink →
-// shed) decided per request from queue depth and a latency EWMA. Every
+// shed) decided per request from queue depth and a latency EWMA, with
+// fixed rules: 2×, 4× and 8× MaxConcurrent waiting requests, a clamped
+// budget of DefaultTimeout/4 and 20,000 SAT conflicts per call. Every
 // outcome can be recorded to an append-only JSONL audit log whose
 // deterministic fields must reproduce byte-for-byte under Replay; the
 // internal/faults harness injects seeded panics and stalls across all of

@@ -278,8 +278,8 @@ func TestClampBudgets(t *testing.T) {
 // At the solver-free level the request still gets a verified counterexample
 // (greedy shrink), labelled as degraded.
 func TestDegradedSolverFree(t *testing.T) {
-	srv := mustNew(t, Config{DegradeSolverFreeQueue: 1, DegradeShedQueue: 100})
-	srv.waiting.Store(2)
+	srv := mustNew(t, Config{MaxConcurrent: 1}) // thresholds 2 / 4 / 8
+	srv.waiting.Store(4)
 	code, resp := srv.explain(context.Background(), &ExplainRequest{
 		Q1: refQ, Q2: wrongQ, Instance: courseSpec(500),
 	}, "t")
@@ -299,8 +299,8 @@ func TestDegradedSolverFree(t *testing.T) {
 
 // Past the shed threshold requests get a structured 429.
 func TestDegradedShed(t *testing.T) {
-	srv := mustNew(t, Config{DegradeShedQueue: 1})
-	srv.waiting.Store(1)
+	srv := mustNew(t, Config{MaxConcurrent: 1}) // thresholds 2 / 4 / 8
+	srv.waiting.Store(8)
 	code, resp := srv.explain(context.Background(), &ExplainRequest{
 		Q1: refQ, Q2: refQ, Instance: courseSpec(300),
 	}, "t")
@@ -358,7 +358,7 @@ func TestTenantRateLimit(t *testing.T) {
 // Freed slots rotate round-robin across tenants with queued waiters, so a
 // tenant with a deep queue cannot starve the others.
 func TestFairQueueRoundRobin(t *testing.T) {
-	q := NewFairQueue(1)
+	q := newFairQueue(1)
 	if !q.Acquire(context.Background(), "main") {
 		t.Fatal("initial acquire failed")
 	}
@@ -414,7 +414,7 @@ func TestFairQueueRoundRobin(t *testing.T) {
 // A waiter whose context dies while queued must be skipped by the grant
 // path, not granted a slot nobody will release.
 func TestFairQueueCanceledWaiter(t *testing.T) {
-	q := NewFairQueue(1)
+	q := newFairQueue(1)
 	if !q.Acquire(context.Background(), "a") {
 		t.Fatal("initial acquire failed")
 	}
@@ -442,4 +442,21 @@ func TestFairQueueCanceledWaiter(t *testing.T) {
 		t.Fatal("slot lost to a canceled waiter")
 	}
 	q.Release()
+}
+
+// The latency EWMA starts from its first sample (a zero start would read
+// a tenth of it) and then moves with α = 0.1.
+func TestLatencyEWMASeededByFirstSample(t *testing.T) {
+	srv := mustNew(t, Config{})
+	if got := srv.Latency(); got != 0 {
+		t.Fatalf("cold EWMA = %v, want 0", got)
+	}
+	srv.observeLatency(100)
+	if got := srv.Latency(); got != 100 {
+		t.Fatalf("EWMA after one 100ms sample = %v, want 100", got)
+	}
+	srv.observeLatency(200)
+	if got := srv.Latency(); got != 110 {
+		t.Fatalf("EWMA after 100ms then 200ms = %v, want 110", got)
+	}
 }

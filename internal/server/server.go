@@ -1,13 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -17,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/course"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/pool"
 	"repro/internal/ra"
 	"repro/internal/raparser"
@@ -38,12 +37,13 @@ type Config struct {
 	// (default 64). Creating past the cap evicts the least recently used
 	// session; its subsequent revisions answer structured 404s.
 	SessionCacheSize int
-	// MaxConcurrent bounds how many explanations run at once; further
-	// requests queue until a slot frees or their deadline passes. The
-	// default is one slot per pool worker divided by nothing — i.e.
-	// pool.DefaultWorkers — because each explanation may itself fan out
-	// over the worker pool; admission keeps the multiplied parallelism
-	// bounded instead of oversubscribing the machine.
+	// MaxConcurrent bounds how many explanations and session operations
+	// run at once; further requests queue until a slot frees or their
+	// deadline passes. The default is pool.DefaultWorkers, one slot per
+	// pool worker: each explanation may itself fan out over the worker
+	// pool, so admission keeps the multiplied parallelism bounded instead
+	// of oversubscribing the machine. The degradation ladder's thresholds
+	// scale off it (see degrade.go).
 	MaxConcurrent int
 	// DefaultTimeout is the per-request wall-clock budget when the request
 	// does not set one (default 10s).
@@ -53,22 +53,6 @@ type Config struct {
 	// MaxInstanceTuples caps the size of any instance the server will
 	// generate or accept inline (default 200000 tuples).
 	MaxInstanceTuples int
-	// MaxBodyBytes caps a request body (default 8 MiB — inline instances
-	// can be large).
-	MaxBodyBytes int64
-
-	// Degradation ladder thresholds (see degrade.go). The queue depths are
-	// absolute waiting-request counts; Normalize defaults them to 2×, 4×
-	// and 8× MaxConcurrent.
-	DegradeClampQueue      int
-	DegradeSolverFreeQueue int
-	DegradeShedQueue       int
-	// DegradedTimeout is the wall-clock budget cap applied at ladder level
-	// 1+ (default DefaultTimeout/4).
-	DegradedTimeout time.Duration
-	// DegradedMaxConflicts is the per-SAT-call conflict cap applied at
-	// ladder level 1+ (default 20000).
-	DegradedMaxConflicts int64
 
 	// TenantRate enables per-tenant token-bucket rate limiting: sustained
 	// requests/second per tenant (0 disables). TenantBurst is the bucket
@@ -106,66 +90,24 @@ func (c Config) Normalize() Config {
 	if c.MaxInstanceTuples <= 0 {
 		c.MaxInstanceTuples = 200_000
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 8 << 20
-	}
-	if c.DegradeClampQueue <= 0 {
-		c.DegradeClampQueue = 2 * c.MaxConcurrent
-	}
-	if c.DegradeSolverFreeQueue <= 0 {
-		c.DegradeSolverFreeQueue = 4 * c.MaxConcurrent
-	}
-	if c.DegradeShedQueue <= 0 {
-		c.DegradeShedQueue = 8 * c.MaxConcurrent
-	}
-	if c.DegradedTimeout <= 0 {
-		c.DegradedTimeout = c.DefaultTimeout / 4
-	}
-	if c.DegradedMaxConflicts <= 0 {
-		c.DegradedMaxConflicts = 20_000
-	}
 	return c
 }
 
 // Server is the long-lived RATest service: it keeps parsed query plans and
-// generated instances resident across requests, bounds concurrent
-// explanations with an admission semaphore, and enforces per-request
+// generated instances resident across requests, and its request gate
+// bounds concurrent explanations and enforces per-request
 // wall-clock/row/conflict budgets. All handler state is either immutable
 // after construction or guarded (LRU mutexes, atomics), so one Server
 // serves concurrent requests.
 type Server struct {
+	*Gate
 	cfg       Config
 	plans     *lru[string, *plannedQuery]
 	instances *lru[string, *instance]
 	sessions  *lru[string, *session]
-	admission *FairQueue
-	limiter   *TenantLimiter
-	audit     *auditLog
-	started   time.Time
 
-	// Lifecycle: ready/draining state plus the hard-cancel signal fanned
-	// out to every in-flight request context (see lifecycle.go).
-	state      atomic.Int32
-	hardCtx    context.Context
-	hardCancel context.CancelFunc
-
-	// latEWMA holds math.Float64bits of the request-latency EWMA (ms).
-	latEWMA atomic.Uint64
-
-	// Counters. Typed atomics: /stats reads them while handlers write, so
-	// plain ints would tear under -race (and on 32-bit, in fact).
-	explainReqs     atomic.Int64
-	gradeReqs       atomic.Int64
-	okResponses     atomic.Int64
-	agreeResponses  atomic.Int64
-	budgetExceeded  atomic.Int64
-	errorResponses  atomic.Int64
-	shedResponses   atomic.Int64
-	drainRefused    atomic.Int64
-	panicsRecovered atomic.Int64
-	rateLimited     atomic.Int64
-	inFlight        atomic.Int64
-	waiting         atomic.Int64
+	explainReqs atomic.Int64
+	gradeReqs   atomic.Int64
 
 	// Live-grading session state (see session.go).
 	sessionSeq       atomic.Int64
@@ -184,67 +126,33 @@ type Server struct {
 // setup (an unopenable path).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.Normalize()
-	audit, err := newAuditLog(cfg.AuditPath, cfg.AuditWriter)
+	gate, err := NewGate("", cfg)
 	if err != nil {
 		return nil, err
 	}
-	hardCtx, hardCancel := context.WithCancel(context.Background())
 	srv := &Server{
-		cfg:        cfg,
-		plans:      newLRU[string, *plannedQuery](cfg.PlanCacheSize),
-		instances:  newLRU[string, *instance](cfg.InstanceCacheSize),
-		sessions:   newLRU[string, *session](cfg.SessionCacheSize),
-		admission:  NewFairQueue(cfg.MaxConcurrent),
-		limiter:    NewTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		audit:      audit,
-		started:    time.Now(),
-		hardCtx:    hardCtx,
-		hardCancel: hardCancel,
+		Gate:      gate,
+		cfg:       cfg,
+		plans:     newLRU[string, *plannedQuery](cfg.PlanCacheSize),
+		instances: newLRU[string, *instance](cfg.InstanceCacheSize),
+		sessions:  newLRU[string, *session](cfg.SessionCacheSize),
 	}
 	srv.sessions.onEvict = srv.evictSession
 	return srv, nil
 }
 
-// Handler returns the server's HTTP routing table. Every handler runs
-// under the panic-isolation wrapper: a panic anywhere in the request path
-// becomes a structured 500 with the stack in the audit log, and the
-// process — with its caches — stays up.
+// Handler returns the server's HTTP routing table, built by its gate (see
+// Gate.Mux); the /session routes use Go 1.22 method and wildcard patterns,
+// the id being r.PathValue("id").
 func (srv *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/explain", srv.wrap("/explain", srv.handleExplain))
-	mux.HandleFunc("/grade", srv.wrap("/grade", srv.handleGrade))
-	mux.HandleFunc("/healthz", srv.wrap("/healthz", srv.handleHealthz))
-	mux.HandleFunc("/stats", srv.wrap("/stats", srv.handleStats))
-	srv.sessionRoutes(mux)
-	return mux
-}
-
-// wrap is the per-request panic-isolation boundary for everything the
-// handler goroutine runs directly (the pool recovers its own workers and
-// surfaces their panics as *pool.PanicError returns instead).
-func (srv *Server) wrap(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			if rec := recover(); rec != nil {
-				srv.panicsRecovered.Add(1)
-				srv.errorResponses.Add(1)
-				srv.audit.append(&AuditEntry{
-					Endpoint:   endpoint,
-					HTTPStatus: http.StatusInternalServerError,
-					Status:     StatusError,
-					Error:      "panic recovered in handler",
-					Panic:      fmt.Sprint(rec),
-					Stack:      string(debug.Stack()),
-				})
-				writeJSON(w, http.StatusInternalServerError, &ExplainResponse{
-					Status: StatusError,
-					Error:  fmt.Sprintf("internal error (recovered): %v", rec),
-				})
-			}
-		}()
-		faults.Inject(faults.Handler)
-		h(w, r)
-	}
+	return srv.Mux([]Route{
+		{"/explain", "/explain", srv.handleExplain},
+		{"/grade", "/grade", srv.handleGrade},
+		{"POST /session", "/session", srv.handleSessionCreate},
+		{"POST /session/{id}/revise", "/session/revise", srv.handleSessionRevise},
+		{"GET /session/{id}", "/session/get", srv.handleSessionGet},
+		{"DELETE /session/{id}", "/session/delete", srv.handleSessionDelete},
+	}, nil, srv.stats)
 }
 
 // Request statuses.
@@ -453,24 +361,16 @@ func statsFor[K comparable, V any](c *lru[K, V], cap int) cacheStats {
 	return cacheStats{Len: c.Len(), Cap: cap, Hits: h, Misses: m}
 }
 
-func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	auditSeq, auditDropped := srv.audit.counters()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"uptime_s": time.Since(srv.started).Seconds(),
-		"state":    srv.StateName(),
+// stats is the server's part of GET /stats; the gate adds uptime, state,
+// admission gauges, the latency EWMA and the audit counters.
+func (srv *Server) stats() map[string]any {
+	return map[string]any{
 		"requests": map[string]int64{
 			"explain": srv.explainReqs.Load(),
 			"grade":   srv.gradeReqs.Load(),
 			"session": srv.sessionReqs.Load(),
 		},
-		"responses": map[string]int64{
-			"ok":              srv.okResponses.Load(),
-			"agree":           srv.agreeResponses.Load(),
-			"budget_exceeded": srv.budgetExceeded.Load(),
-			"error":           srv.errorResponses.Load(),
-			"shed":            srv.shedResponses.Load(),
-			"draining":        srv.drainRefused.Load(),
-		},
+		"responses":      srv.Counters(StatusOK, StatusAgree, StatusBudgetExceeded, StatusError, StatusShed, StatusDraining),
 		"plan_cache":     statsFor(srv.plans, srv.cfg.PlanCacheSize),
 		"instance_cache": statsFor(srv.instances, srv.cfg.InstanceCacheSize),
 		"sessions": map[string]any{
@@ -487,21 +387,8 @@ func (srv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 				"fallback":    srv.revFallback.Load(),
 			},
 		},
-		"admission": map[string]int64{
-			"limit":     int64(srv.cfg.MaxConcurrent),
-			"in_flight": srv.inFlight.Load(),
-			"waiting":   srv.waiting.Load(),
-		},
-		"faults": map[string]int64{
-			"panics_recovered": srv.panicsRecovered.Load(),
-			"rate_limited":     srv.rateLimited.Load(),
-		},
-		"latency_ewma_ms": srv.latency(),
-		"audit": map[string]int64{
-			"entries": auditSeq,
-			"dropped": auditDropped,
-		},
-	})
+		"faults": srv.Counters("panics_recovered", "rate_limited"),
+	}
 }
 
 func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -516,7 +403,7 @@ func (srv *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	e := auditOf("/explain", tenant, status, resp)
 	e.Request = &req
 	e.RequestID, e.Attempt = reqID, attempt
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeClusterHeaders(w, reqID, resp.Degraded)
 	writeResponse(w, status, resp.RetryAfterS, resp)
 }
@@ -534,7 +421,7 @@ func (srv *Server) handleGrade(w http.ResponseWriter, r *http.Request) {
 	e.GradeRequest = &req
 	e.Grade = out.Grade
 	e.RequestID, e.Attempt = reqID, attempt
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeClusterHeaders(w, reqID, out.Degraded)
 	writeResponse(w, status, out.RetryAfterS, out)
 }
@@ -543,7 +430,7 @@ func (srv *Server) handleGrade(w http.ResponseWriter, r *http.Request) {
 // query and delegate to the explain pipeline.
 func (srv *Server) grade(ctx context.Context, req *GradeRequest, tenant string) (int, *GradeResponse) {
 	fail := func(err error) (int, *GradeResponse) {
-		srv.errorResponses.Add(1)
+		srv.count(StatusError)
 		return http.StatusBadRequest, &GradeResponse{
 			ExplainResponse: ExplainResponse{Status: StatusError, Error: err.Error()},
 			Question:        req.Question,
@@ -603,88 +490,42 @@ func auditOf(endpoint, tenant string, status int, resp *ExplainResponse) *AuditE
 	return e
 }
 
-// explain runs the full pipeline for one request: lifecycle and overload
-// gates first (drain refusal, tenant rate limit, degradation ladder), then
-// resolve the instance, look up or parse the plans, admit the request
-// through the fair queue, and run the search under its (possibly clamped)
-// budgets. It returns the HTTP status plus the response body.
+// explain runs the full pipeline for one request: through the gate first
+// (drain refusal, tenant rate limit, degradation ladder, fair admission
+// under the request's possibly clamped budget), then resolve the instance,
+// look up or parse the plans, and run the search. It returns the HTTP
+// status plus the response body.
 func (srv *Server) explain(ctx context.Context, req *ExplainRequest, tenant string) (int, *ExplainResponse) {
 	start := time.Now()
 	finish := func(status int, resp *ExplainResponse) (int, *ExplainResponse) {
-		resp.ElapsedMS = msSince(start)
-		srv.countStatus(resp.Status)
-		// Refusals are cheap and would drag the latency signal down right
-		// when it matters; only served requests feed the EWMA.
-		if resp.Status != StatusShed && resp.Status != StatusDraining {
-			srv.observeLatency(resp.ElapsedMS)
-		}
+		resp.ElapsedMS = srv.finish(start, resp.Status)
 		return status, resp
 	}
 	errResp := func(status int, err error) (int, *ExplainResponse) {
 		return finish(status, &ExplainResponse{Status: StatusError, Error: err.Error()})
 	}
 
-	// Lifecycle gate: a draining server admits nothing new.
-	if srv.Draining() {
-		return finish(http.StatusServiceUnavailable, &ExplainResponse{
-			Status:      StatusDraining,
-			RetryAfterS: srv.retryAfterS(),
-			Error:       "server is draining; retry against another replica",
-		})
+	pass, refused := srv.Enter(ctx, tenant, req.TimeoutMS)
+	if refused != nil {
+		resp := refused.response()
+		if resp.Status == StatusBudgetExceeded {
+			resp.Stats = &StatsJSON{SolverStatus: "unknown"}
+		}
+		return finish(refused.HTTPStatus, resp)
 	}
-	// Per-tenant rate limit.
-	if ok, wait := srv.limiter.Allow(tenant, time.Now()); !ok {
-		srv.rateLimited.Add(1)
-		return finish(http.StatusTooManyRequests, &ExplainResponse{
-			Status:      StatusShed,
-			RetryAfterS: int(wait/time.Second) + 1,
-			Error:       fmt.Sprintf("tenant %q is over its request rate; retry later", tenant),
-		})
-	}
-	// Degradation ladder (see degrade.go).
-	level := srv.degradeLevel()
-	if level == degradeShed {
-		return finish(http.StatusTooManyRequests, &ExplainResponse{
-			Status:      StatusShed,
-			Degraded:    degradeName(level),
-			RetryAfterS: srv.retryAfterS(),
-			Error:       "server overloaded; request shed",
-		})
-	}
-	budget := srv.budget(req.TimeoutMS)
+	defer pass.Done()
+	ctx = pass.Ctx
 	maxConflicts := req.MaxConflicts
 	algorithm := req.Algorithm
-	degraded := degradeName(level)
-	if level >= degradeClamped {
-		budget, maxConflicts = srv.clampBudgets(budget, maxConflicts)
+	degraded := degradeName(pass.level)
+	if pass.level >= degradeClamped {
+		_, maxConflicts = srv.clampBudgets(0, maxConflicts)
 	}
-	if level >= degradeSolverFree {
+	if pass.level >= degradeSolverFree {
 		// Solver-free service: agree-check plus greedy shrink. Still a
 		// verified counterexample, just not guaranteed minimal.
 		algorithm = "shrinkgreedy"
 	}
-
-	// The budget clock starts immediately and admission comes first: cold-
-	// cache work (instance generation, plan parsing) is real CPU that must
-	// be charged to the request's budget and bounded by the concurrency
-	// limit, not run unadmitted. A request that spends its whole budget
-	// queued reports budget_exceeded rather than occupying a slot it can
-	// no longer use.
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	// Drain's hard-cancel signal reaches this request through its cancel
-	// func: CancelInFlight turns stragglers into budget responses.
-	unbind := srv.bindLifecycle(cancel)
-	defer unbind()
-	if ok := srv.admit(ctx, tenant); !ok {
-		return finish(http.StatusOK, &ExplainResponse{
-			Status:   StatusBudgetExceeded,
-			Degraded: degraded,
-			Stats:    &StatsJSON{SolverStatus: "unknown"},
-			Error:    fmt.Sprintf("request spent its %v budget queued for admission", budget),
-		})
-	}
-	defer srv.release()
 
 	inst, instHit, err := srv.resolve(req.Instance)
 	if err != nil {
@@ -700,10 +541,7 @@ func (srv *Server) explain(ctx context.Context, req *ExplainRequest, tenant stri
 		return errResp(http.StatusBadRequest, fmt.Errorf("parsing q2: %w", err))
 	}
 	q1, q2 := p1.parsed, p2.parsed
-	params, err := parseParams(req.Params)
-	if err != nil {
-		return errResp(http.StatusBadRequest, err)
-	}
+	params := parseParams(req.Params)
 	cache := &CacheJSON{PlanQ1: hitMiss(q1Hit), PlanQ2: hitMiss(q2Hit), Instance: hitMiss(instHit)}
 	var plan *PlanJSON
 	if req.ExplainPlan {
@@ -855,98 +693,35 @@ func renderPlanRegions(r *engine.PlanReport) []PlanRegionJSON {
 	return out
 }
 
-// countStatus feeds the /stats response counters, shared by the explain,
-// grade, and session pipelines. A released session counts as ok.
-func (srv *Server) countStatus(status string) {
-	switch status {
-	case StatusOK, StatusDeleted:
-		srv.okResponses.Add(1)
-	case StatusAgree:
-		srv.agreeResponses.Add(1)
-	case StatusBudgetExceeded:
-		srv.budgetExceeded.Add(1)
-	case StatusShed:
-		srv.shedResponses.Add(1)
-	case StatusDraining:
-		srv.drainRefused.Add(1)
-	default:
-		srv.errorResponses.Add(1)
-	}
-}
-
-// budget clamps a requested timeout to the server's bounds.
-func (srv *Server) budget(timeoutMS int64) time.Duration {
-	d := srv.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		d = time.Duration(timeoutMS) * time.Millisecond
-	}
-	if d > srv.cfg.MaxTimeout {
-		d = srv.cfg.MaxTimeout
-	}
-	return d
-}
-
-// admit blocks until the fair queue grants an execution slot or the
-// context expires, reporting whether the request was admitted.
-func (srv *Server) admit(ctx context.Context, tenant string) bool {
-	srv.waiting.Add(1)
-	ok := srv.admission.Acquire(ctx, tenant)
-	srv.waiting.Add(-1)
-	if ok {
-		srv.inFlight.Add(1)
-	}
-	return ok
-}
-
-func (srv *Server) release() {
-	srv.inFlight.Add(-1)
-	srv.admission.Release()
-}
-
-// decode reads a JSON request body, enforcing method and size limits.
+// decode reads a JSON request body into into, answering a wrong method, an
+// unreadable or oversized body, or malformed JSON with a structured error.
 func (srv *Server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if r.Method != http.MethodPost {
-		srv.fail(w, http.StatusMethodNotAllowed, fmt.Errorf("%s requires POST", r.URL.Path))
-		return false
+	start := time.Now()
+	body, refused := ReadBody(w, r)
+	if refused == nil {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(into); err != nil {
+			refused = &Refusal{HTTPStatus: http.StatusBadRequest, Status: StatusError,
+				Error: fmt.Sprintf("decoding request body: %v", err)}
+		}
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, srv.cfg.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		srv.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request body: %w", err))
+	if refused != nil {
+		srv.Refuse(w, refused, start)
 		return false
 	}
 	return true
 }
 
-func (srv *Server) fail(w http.ResponseWriter, status int, err error) {
-	srv.errorResponses.Add(1)
-	writeJSON(w, status, &ExplainResponse{Status: StatusError, Error: err.Error()})
-}
-
-// writeResponse mirrors a response's retry_after_s into the Retry-After
-// header (shed/draining) before writing the JSON body.
-func writeResponse(w http.ResponseWriter, status, retryAfterS int, body any) {
-	if retryAfterS > 0 {
-		w.Header().Set("Retry-After", fmt.Sprint(retryAfterS))
-	}
-	writeJSON(w, status, body)
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
-
-func parseParams(raw map[string]string) (map[string]relation.Value, error) {
+func parseParams(raw map[string]string) map[string]relation.Value {
 	if len(raw) == 0 {
-		return nil, nil
+		return nil
 	}
 	out := make(map[string]relation.Value, len(raw))
 	for k, v := range raw {
 		out[k] = relation.ParseValue(v)
 	}
-	return out, nil
+	return out
 }
 
 func hitMiss(hit bool) string {
@@ -955,8 +730,6 @@ func hitMiss(hit bool) string {
 	}
 	return "miss"
 }
-
-func msSince(t time.Time) float64 { return float64(time.Since(t).Microseconds()) / 1000 }
 
 func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 

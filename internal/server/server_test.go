@@ -535,3 +535,40 @@ relation T(c: int, d: int)
 		t.Fatalf("inline explain_plan missing or unplanned: %+v", resp.Plan)
 	}
 }
+
+// A request no route takes gets the same structured error shape as every
+// other failure: JSON with status "error", 404 for an unknown path and 405
+// (with Allow) for a wrong method on a session route.
+func TestUnroutedIsStructured(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	cases := []struct {
+		method, path string
+		code         int
+		allow        string
+	}{
+		{http.MethodPost, "/nope", http.StatusNotFound, ""},
+		{http.MethodPut, "/session/s1", http.StatusMethodNotAllowed, "DELETE, GET, HEAD"},
+	}
+	for _, tc := range cases {
+		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body ExplainResponse
+		decodeBody(t, resp, &body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.code || body.Status != StatusError || body.Error == "" {
+			t.Errorf("%s %s = %d / %q (%s), want %d / error", tc.method, tc.path, resp.StatusCode, body.Status, body.Error, tc.code)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", tc.method, tc.path, ct)
+		}
+		if got := resp.Header.Get("Allow"); got != tc.allow {
+			t.Errorf("%s %s: Allow %q, want %q", tc.method, tc.path, got, tc.allow)
+		}
+	}
+}

@@ -113,15 +113,6 @@ type session struct {
 	closed bool
 }
 
-// sessionRoutes registers the /session endpoints (Go 1.22 method+wildcard
-// patterns; the id is r.PathValue("id")).
-func (srv *Server) sessionRoutes(mux *http.ServeMux) {
-	mux.HandleFunc("POST /session", srv.wrap("/session", srv.handleSessionCreate))
-	mux.HandleFunc("POST /session/{id}/revise", srv.wrap("/session/revise", srv.handleSessionRevise))
-	mux.HandleFunc("GET /session/{id}", srv.wrap("/session/get", srv.handleSessionGet))
-	mux.HandleFunc("DELETE /session/{id}", srv.wrap("/session/delete", srv.handleSessionDelete))
-}
-
 func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	srv.sessionReqs.Add(1)
 	var req SessionCreateRequest
@@ -132,7 +123,7 @@ func (srv *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	status, resp := srv.sessionCreate(r.Context(), &req, tenant)
 	e := sessionAuditOf("/session", tenant, status, resp)
 	e.SessionCreate = &req
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeResponse(w, status, resp.RetryAfterS, resp)
 }
 
@@ -147,7 +138,7 @@ func (srv *Server) handleSessionRevise(w http.ResponseWriter, r *http.Request) {
 	e := sessionAuditOf("/session/revise", tenant, status, resp)
 	e.SessionRevise = &req
 	e.SessionID = r.PathValue("id")
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeResponse(w, status, resp.RetryAfterS, resp)
 }
 
@@ -156,7 +147,7 @@ func (srv *Server) handleSessionGet(w http.ResponseWriter, r *http.Request) {
 	status, resp := srv.sessionGet(r.Context(), r.PathValue("id"))
 	e := sessionAuditOf("/session/get", "", status, resp)
 	e.SessionID = r.PathValue("id")
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeResponse(w, status, resp.RetryAfterS, resp)
 }
 
@@ -165,7 +156,7 @@ func (srv *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	status, resp := srv.sessionDelete(r.PathValue("id"))
 	e := sessionAuditOf("/session/delete", "", status, resp)
 	e.SessionID = r.PathValue("id")
-	srv.audit.append(e)
+	srv.Audit(e)
 	writeResponse(w, status, resp.RetryAfterS, resp)
 }
 
@@ -195,54 +186,22 @@ func sessionAuditOf(endpoint, tenant string, status int, resp *SessionResponse) 
 	return e
 }
 
-// finishSession stamps elapsed time and feeds the shared status counters
-// and latency signal.
-func (srv *Server) finishSession(start time.Time, status int, resp *SessionResponse) (int, *SessionResponse) {
-	resp.ElapsedMS = msSince(start)
-	srv.countStatus(resp.Status)
-	if resp.Status != StatusShed && resp.Status != StatusDraining {
-		srv.observeLatency(resp.ElapsedMS)
+// sessionAnswer returns the exit every session operation answers through:
+// it stamps the session id (when the response has none) and the elapsed
+// time, and counts the response and feeds the latency EWMA (Gate.finish).
+func (srv *Server) sessionAnswer(start time.Time, id string) func(int, *SessionResponse) (int, *SessionResponse) {
+	return func(code int, resp *SessionResponse) (int, *SessionResponse) {
+		if resp.SessionID == "" {
+			resp.SessionID = id
+		}
+		resp.ElapsedMS = srv.finish(start, resp.Status)
+		return code, resp
 	}
-	return status, resp
 }
 
-// sessionGates runs the shared admission-side gates (drain refusal, tenant
-// rate limit, shed level of the degradation ladder) and returns a non-nil
-// refusal response when the request must not proceed.
-func (srv *Server) sessionGates(tenant string) (int, *SessionResponse) {
-	if srv.Draining() {
-		return http.StatusServiceUnavailable, &SessionResponse{
-			Status:      StatusDraining,
-			RetryAfterS: srv.retryAfterS(),
-			Error:       "server is draining; session state will not survive, re-create later",
-		}
-	}
-	if ok, wait := srv.limiter.Allow(tenant, time.Now()); !ok {
-		srv.rateLimited.Add(1)
-		return http.StatusTooManyRequests, &SessionResponse{
-			Status:      StatusShed,
-			RetryAfterS: int(wait/time.Second) + 1,
-			Error:       fmt.Sprintf("tenant %q is over its request rate; retry later", tenant),
-		}
-	}
-	if srv.degradeLevel() == degradeShed {
-		return http.StatusTooManyRequests, &SessionResponse{
-			Status:      StatusShed,
-			RetryAfterS: srv.retryAfterS(),
-			Error:       "server overloaded; request shed",
-		}
-	}
-	return 0, nil
-}
-
-// sessionBudget is the per-request wall-clock budget with the degradation
-// ladder's clamp applied at level 1+.
-func (srv *Server) sessionBudget(timeoutMS int64) time.Duration {
-	budget := srv.budget(timeoutMS)
-	if srv.degradeLevel() >= degradeClamped {
-		budget, _ = srv.clampBudgets(budget, 0)
-	}
-	return budget
+// sessionRefusal renders a gate refusal as a session response.
+func sessionRefusal(r *Refusal) *SessionResponse {
+	return &SessionResponse{Status: r.Status, RetryAfterS: r.RetryAfterS, Error: r.Error}
 }
 
 // fillGrade projects the session's current grade into a response.
@@ -272,25 +231,16 @@ func renderTuples(ts []relation.Tuple) []string {
 // (sessions mutate their instance), prepare the retained delta state, grade
 // once, and park the session in the LRU (possibly evicting the oldest).
 func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest, tenant string) (int, *SessionResponse) {
-	start := time.Now()
-	if status, refusal := srv.sessionGates(tenant); refusal != nil {
-		return srv.finishSession(start, status, refusal)
+	done := srv.sessionAnswer(time.Now(), "")
+	pass, refused := srv.Enter(ctx, tenant, req.TimeoutMS)
+	if refused != nil {
+		return done(refused.HTTPStatus, sessionRefusal(refused))
 	}
-	budget := srv.sessionBudget(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	unbind := srv.bindLifecycle(cancel)
-	defer unbind()
-	if ok := srv.admit(ctx, tenant); !ok {
-		return srv.finishSession(start, http.StatusOK, &SessionResponse{
-			Status: StatusBudgetExceeded,
-			Error:  fmt.Sprintf("request spent its %v budget queued for admission", budget),
-		})
-	}
-	defer srv.release()
+	defer pass.Done()
+	ctx = pass.Ctx
 
 	fail := func(status int, err error) (int, *SessionResponse) {
-		return srv.finishSession(start, status, &SessionResponse{Status: StatusError, Error: err.Error()})
+		return done(status, &SessionResponse{Status: StatusError, Error: err.Error()})
 	}
 	inst, _, err := srv.resolve(req.Instance)
 	if err != nil {
@@ -305,16 +255,12 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 	if err != nil {
 		return fail(http.StatusBadRequest, fmt.Errorf("parsing q2: %w", err))
 	}
-	params, err := parseParams(req.Params)
-	if err != nil {
-		return fail(http.StatusBadRequest, err)
-	}
 	p := core.Problem{
 		Q1: p1.parsed, Q2: p2.parsed,
 		// The session owns its instance: committed insertions mutate the
 		// database, and the cached copy is shared with every other request.
 		DB:      inst.db.Clone(),
-		Params:  params,
+		Params:  parseParams(req.Params),
 		Ctx:     ctx,
 		MaxRows: req.MaxRows,
 	}
@@ -323,9 +269,7 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 	}
 	ls, err := core.NewLiveSession(p)
 	if errors.Is(err, core.ErrBudget) || (err != nil && ctx.Err() != nil) {
-		return srv.finishSession(start, http.StatusOK, &SessionResponse{
-			Status: StatusBudgetExceeded, Error: err.Error(),
-		})
+		return done(http.StatusOK, &SessionResponse{Status: StatusBudgetExceeded, Error: err.Error()})
 	}
 	if err != nil {
 		return fail(http.StatusUnprocessableEntity, err)
@@ -333,9 +277,7 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 	g, err := ls.Grade(ctx)
 	if err != nil {
 		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
-			return srv.finishSession(start, http.StatusOK, &SessionResponse{
-				Status: StatusBudgetExceeded, Error: err.Error(),
-			})
+			return done(http.StatusOK, &SessionResponse{Status: StatusBudgetExceeded, Error: err.Error()})
 		}
 		return fail(http.StatusUnprocessableEntity, err)
 	}
@@ -349,7 +291,7 @@ func (srv *Server) sessionCreate(ctx context.Context, req *SessionCreateRequest,
 	srv.sessionsCreated.Add(1)
 	resp := &SessionResponse{SessionID: sess.id}
 	fillGrade(resp, ls, g)
-	return srv.finishSession(start, http.StatusOK, resp)
+	return done(http.StatusOK, resp)
 }
 
 // sessionLookup fetches a live session, answering the structured 404 shared
@@ -359,9 +301,8 @@ func (srv *Server) sessionLookup(id string) (*session, *SessionResponse) {
 	if !ok {
 		srv.sessionsNotFound.Add(1)
 		return nil, &SessionResponse{
-			SessionID: id,
-			Status:    StatusError,
-			Error:     fmt.Sprintf("unknown session %q (expired, evicted, or never created); POST /session to start a new one", id),
+			Status: StatusError,
+			Error:  fmt.Sprintf("unknown session %q (expired, evicted, or never created); POST /session to start a new one", id),
 		}
 	}
 	return sess, nil
@@ -370,26 +311,16 @@ func (srv *Server) sessionLookup(id string) (*session, *SessionResponse) {
 // sessionRevise applies one revision — a batch of instance edits or a query
 // edit — to a resident session and re-grades it.
 func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionReviseRequest, tenant string) (int, *SessionResponse) {
-	start := time.Now()
-	if status, refusal := srv.sessionGates(tenant); refusal != nil {
-		refusal.SessionID = id
-		return srv.finishSession(start, status, refusal)
+	done := srv.sessionAnswer(time.Now(), id)
+	pass, refused := srv.Enter(ctx, tenant, req.TimeoutMS)
+	if refused != nil {
+		return done(refused.HTTPStatus, sessionRefusal(refused))
 	}
-	budget := srv.sessionBudget(req.TimeoutMS)
-	ctx, cancel := context.WithTimeout(ctx, budget)
-	defer cancel()
-	unbind := srv.bindLifecycle(cancel)
-	defer unbind()
-	if ok := srv.admit(ctx, tenant); !ok {
-		return srv.finishSession(start, http.StatusOK, &SessionResponse{
-			SessionID: id, Status: StatusBudgetExceeded,
-			Error: fmt.Sprintf("request spent its %v budget queued for admission", budget),
-		})
-	}
-	defer srv.release()
+	defer pass.Done()
+	ctx = pass.Ctx
 
 	fail := func(status int, err error) (int, *SessionResponse) {
-		return srv.finishSession(start, status, &SessionResponse{SessionID: id, Status: StatusError, Error: err.Error()})
+		return done(status, &SessionResponse{Status: StatusError, Error: err.Error()})
 	}
 	if len(req.Ops) > 0 && req.Q2 != "" {
 		return fail(http.StatusBadRequest, fmt.Errorf("a revision is either instance edits (ops) or a query edit (q2), not both"))
@@ -399,7 +330,7 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 	}
 	sess, notFound := srv.sessionLookup(id)
 	if notFound != nil {
-		return srv.finishSession(start, http.StatusNotFound, notFound)
+		return done(http.StatusNotFound, notFound)
 	}
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
@@ -417,10 +348,8 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 	}()
 	if sess.closed {
 		srv.sessionsNotFound.Add(1)
-		return srv.finishSession(start, http.StatusNotFound, &SessionResponse{
-			SessionID: id, Status: StatusError,
-			Error: fmt.Sprintf("session %q was evicted; POST /session to start a new one", id),
-		})
+		return done(http.StatusNotFound, &SessionResponse{Status: StatusError,
+			Error: fmt.Sprintf("session %q was evicted; POST /session to start a new one", id)})
 	}
 
 	var path string
@@ -442,9 +371,7 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
-			return srv.finishSession(start, http.StatusOK, &SessionResponse{
-				SessionID: id, Status: StatusBudgetExceeded, Error: err.Error(),
-			})
+			return done(http.StatusOK, &SessionResponse{Status: StatusBudgetExceeded, Error: err.Error()})
 		}
 		return fail(http.StatusUnprocessableEntity, err)
 	}
@@ -460,15 +387,13 @@ func (srv *Server) sessionRevise(ctx context.Context, id string, req *SessionRev
 	if err != nil {
 		// The revision is committed; only this grade read ran out of budget.
 		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
-			return srv.finishSession(start, http.StatusOK, &SessionResponse{
-				SessionID: id, Status: StatusBudgetExceeded, Path: path, Error: err.Error(),
-			})
+			return done(http.StatusOK, &SessionResponse{Status: StatusBudgetExceeded, Path: path, Error: err.Error()})
 		}
 		return fail(http.StatusUnprocessableEntity, err)
 	}
-	resp := &SessionResponse{SessionID: id, Path: path}
+	resp := &SessionResponse{Path: path}
 	fillGrade(resp, sess.ls, g)
-	return srv.finishSession(start, http.StatusOK, resp)
+	return done(http.StatusOK, resp)
 }
 
 // lowerOps translates the wire ops into the core update: updates become
@@ -501,53 +426,51 @@ func lowerOps(ops []SessionOp) (core.SessionUpdate, error) {
 
 // sessionGet reads the current grade without revising.
 func (srv *Server) sessionGet(ctx context.Context, id string) (int, *SessionResponse) {
-	start := time.Now()
+	done := srv.sessionAnswer(time.Now(), id)
 	sess, notFound := srv.sessionLookup(id)
 	if notFound != nil {
-		return srv.finishSession(start, http.StatusNotFound, notFound)
+		return done(http.StatusNotFound, notFound)
 	}
-	ctx, cancel := context.WithTimeout(ctx, srv.sessionBudget(0))
+	// A read is not admitted, but it keeps to the budget the ladder would
+	// give a revision.
+	budget := srv.budget(0)
+	if srv.degradeLevel() >= degradeClamped {
+		budget, _ = srv.clampBudgets(budget, 0)
+	}
+	ctx, cancel := context.WithTimeout(ctx, budget)
 	defer cancel()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	if sess.closed {
 		srv.sessionsNotFound.Add(1)
-		return srv.finishSession(start, http.StatusNotFound, &SessionResponse{
-			SessionID: id, Status: StatusError,
-			Error: fmt.Sprintf("session %q was evicted; POST /session to start a new one", id),
-		})
+		return done(http.StatusNotFound, &SessionResponse{Status: StatusError,
+			Error: fmt.Sprintf("session %q was evicted; POST /session to start a new one", id)})
 	}
 	g, err := sess.ls.Grade(ctx)
 	if err != nil {
 		if errors.Is(err, core.ErrBudget) || ctx.Err() != nil {
-			return srv.finishSession(start, http.StatusOK, &SessionResponse{
-				SessionID: id, Status: StatusBudgetExceeded, Error: err.Error(),
-			})
+			return done(http.StatusOK, &SessionResponse{Status: StatusBudgetExceeded, Error: err.Error()})
 		}
-		return srv.finishSession(start, http.StatusUnprocessableEntity,
-			&SessionResponse{SessionID: id, Status: StatusError, Error: err.Error()})
+		return done(http.StatusUnprocessableEntity, &SessionResponse{Status: StatusError, Error: err.Error()})
 	}
-	resp := &SessionResponse{SessionID: id}
+	resp := &SessionResponse{}
 	fillGrade(resp, sess.ls, g)
-	return srv.finishSession(start, http.StatusOK, resp)
+	return done(http.StatusOK, resp)
 }
 
 // sessionDelete releases a session explicitly.
 func (srv *Server) sessionDelete(id string) (int, *SessionResponse) {
-	start := time.Now()
+	done := srv.sessionAnswer(time.Now(), id)
 	sess, ok := srv.sessions.Remove(id)
 	if !ok {
 		srv.sessionsNotFound.Add(1)
-		return srv.finishSession(start, http.StatusNotFound, &SessionResponse{
-			SessionID: id, Status: StatusError,
-			Error: fmt.Sprintf("unknown session %q", id),
-		})
+		return done(http.StatusNotFound, &SessionResponse{Status: StatusError, Error: fmt.Sprintf("unknown session %q", id)})
 	}
 	sess.mu.Lock()
 	sess.closed = true
 	sess.mu.Unlock()
 	srv.sessionsDeleted.Add(1)
-	return srv.finishSession(start, http.StatusOK, &SessionResponse{SessionID: id, Status: StatusDeleted})
+	return done(http.StatusOK, &SessionResponse{Status: StatusDeleted})
 }
 
 // evictSession is the session LRU's pressure callback: mark the session

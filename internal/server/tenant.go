@@ -34,11 +34,11 @@ type bucket struct {
 	last   time.Time
 }
 
-// TenantLimiter hands out request tokens per tenant: rate tokens/second,
+// tenantLimiter hands out request tokens per tenant: rate tokens/second,
 // burst capacity. Buckets live in an LRU so a scan of one-off tenant ids
 // cannot grow memory without bound (an evicted bucket refills on return,
 // which only ever errs in the tenant's favor).
-type TenantLimiter struct {
+type tenantLimiter struct {
 	rate    float64
 	burst   float64
 	buckets *lru[string, *bucket]
@@ -47,19 +47,19 @@ type TenantLimiter struct {
 // tenantBucketCap bounds how many tenants' buckets stay resident.
 const tenantBucketCap = 4096
 
-func NewTenantLimiter(rate float64, burst int) *TenantLimiter {
+func newTenantLimiter(rate float64, burst int) *tenantLimiter {
 	if rate <= 0 {
 		return nil // rate limiting disabled
 	}
 	if burst <= 0 {
 		burst = 1
 	}
-	return &TenantLimiter{rate: rate, burst: float64(burst), buckets: newLRU[string, *bucket](tenantBucketCap)}
+	return &tenantLimiter{rate: rate, burst: float64(burst), buckets: newLRU[string, *bucket](tenantBucketCap)}
 }
 
 // Allow takes one token from the tenant's bucket, reporting whether the
 // request may proceed and, if not, how long until a token is available.
-func (l *TenantLimiter) Allow(tenant string, now time.Time) (bool, time.Duration) {
+func (l *tenantLimiter) Allow(tenant string, now time.Time) (bool, time.Duration) {
 	if l == nil {
 		return true, 0
 	}
@@ -90,11 +90,11 @@ type waiter struct {
 	canceled bool
 }
 
-// FairQueue is the admission semaphore with per-tenant fair queueing:
+// fairQueue is the admission semaphore with per-tenant fair queueing:
 // slots slots, and when all are busy, arrivals queue per tenant and a
 // freed slot is granted to the head of the next tenant's queue in
 // round-robin order.
-type FairQueue struct {
+type fairQueue struct {
 	mu     sync.Mutex
 	free   int
 	queues map[string][]*waiter
@@ -102,14 +102,14 @@ type FairQueue struct {
 	next   int
 }
 
-func NewFairQueue(slots int) *FairQueue {
-	return &FairQueue{free: slots, queues: map[string][]*waiter{}}
+func newFairQueue(slots int) *fairQueue {
+	return &fairQueue{free: slots, queues: map[string][]*waiter{}}
 }
 
 // Acquire blocks until a slot is granted or ctx expires. Fairness: a new
 // arrival queues behind existing waiters even if a slot just freed — the
 // grant path decides who runs next.
-func (q *FairQueue) Acquire(ctx context.Context, tenant string) bool {
+func (q *fairQueue) Acquire(ctx context.Context, tenant string) bool {
 	q.mu.Lock()
 	if q.free > 0 && len(q.queues) == 0 {
 		q.free--
@@ -141,7 +141,7 @@ func (q *FairQueue) Acquire(ctx context.Context, tenant string) bool {
 
 // Release returns a slot, handing it directly to the next waiter (round-
 // robin across tenants) or back to the free pool.
-func (q *FairQueue) Release() {
+func (q *fairQueue) Release() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for len(q.ring) > 0 {

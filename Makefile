@@ -18,10 +18,17 @@ lint:
 	$(GO) build -o $(RATESTLINT) ./cmd/ratestlint
 	$(GO) vet -vettool=$(RATESTLINT) ./...
 
+# The examples smoke runs the four programs under examples/, which drive
+# the public API end to end: each must exit 0, and quickstart must print
+# the paper's 3-tuple counterexample.
 test:
 	$(GO) build ./...
 	$(GO) test ./...
 	cd e2ebench && $(GO) test .
+	out=$$($(GO) run ./examples/quickstart) && echo "$$out" | grep -q 'Counterexample with 3 tuples'
+	$(GO) run ./examples/grading > /dev/null
+	$(GO) run ./examples/tpch_regression > /dev/null
+	$(GO) run ./examples/userstudy > /dev/null
 
 race:
 	$(GO) test -race ./...

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/boolexpr"
 	"repro/internal/engine"
+	"repro/internal/minones"
 	"repro/internal/ra"
 	"repro/internal/relation"
 	"repro/internal/sat"
@@ -40,65 +42,35 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	name := "Agg-Basic"
 	if opts.Parameterize {
 		name = "Agg-Param"
+		p = p.withHavingParams()
 	}
 	stats := &Stats{Algorithm: name}
 	start := time.Now()
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-
-	q1, q2 := p.Q1, p.Q2
-	origParams := p.Params
-	if opts.Parameterize {
-		var o1, o2 map[string]relation.Value
-		q1, o1 = ParameterizeHaving(q1)
-		q2, o2 = ParameterizeHaving(q2)
-		merged := map[string]relation.Value{}
-		for k, v := range origParams {
-			merged[k] = v
-		}
-		for k, v := range o1 {
-			merged[k] = v
-		}
-		for k, v := range o2 {
-			merged[k] = v
-		}
-		origParams = merged
-	}
-
-	t0 := time.Now()
-	differs, d12, d21, err := disagreesOpts(q1, q2, p.DB, origParams, p.engineOpts())
+	d12, d21, err := p.baseDiff(stats)
 	if err != nil {
-		return nil, nil, err
-	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
 
 	// Aggregate provenance. When parameterizing, the HAVING parameters are
 	// withheld from the binding so they stay symbolic.
-	provParams := origParams
+	provParams := p.Params
 	var paramNames []string
 	if opts.Parameterize {
 		provParams = map[string]relation.Value{}
-		for k, v := range origParams {
+		for k, v := range p.Params {
 			provParams[k] = v
 		}
-		for _, n := range append(ra.CollectParams(q1), ra.CollectParams(q2)...) {
+		for _, n := range append(ra.CollectParams(p.Q1), ra.CollectParams(p.Q2)...) {
 			delete(provParams, n)
 			paramNames = append(paramNames, n)
 		}
 	}
-	t0 = time.Now()
-	ap1, err := evalAggProvHaving(q1, p.DB, provParams, origParams, p.engineOpts())
+	t0 := time.Now()
+	ap1, err := evalAggProvHaving(p.Q1, p.DB, provParams, p.Params, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	ap2, err := evalAggProvHaving(q2, p.DB, provParams, origParams, p.engineOpts())
+	ap2, err := evalAggProvHaving(p.Q2, p.DB, provParams, p.Params, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -171,10 +143,13 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 
 	var specs []smt.ParamSpec
 	if opts.Parameterize {
-		specs = paramSpecs(paramNames, origParams)
+		specs = paramSpecs(paramNames, p.Params)
 	}
 
-	fks := p.ForeignKeys()
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
+	if err != nil {
+		return nil, nil, err
+	}
 	t0 = time.Now()
 	// Solve every candidate group first, then verify the solved candidates
 	// one at a time: the plans contain γ, which the bitvector batch cannot
@@ -187,8 +162,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		}
 		g1 := ap1.groupByKey(c.key)
 		g2 := ap2.groupByKey(c.key)
-		f := groupDisagreement(g1, g2, ap1, ap2)
-		f = addFKFormulas(f, p.DB, fks)
+		f := addFKFormulas(groupDisagreement(g1, g2, ap1, ap2), fk)
 		res := smt.Solve(smt.Problem{Formula: f, Params: specs, MaxNodes: opts.MaxNodes, Stop: p.stopFunc()})
 		stats.ModelsTried++
 		if res.Status != smt.Optimal && res.Status != smt.Feasible {
@@ -205,37 +179,30 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 			}
 		}
 		sort.Ints(ids)
-		ids, err := fkClose(ids, p.DB, fks)
-		if err != nil {
-			return nil, nil, err
-		}
+		ids, _ = fkClose(ids, fk)
 		sub, tids := subinstanceFromIDs(p.DB, ids)
-		ce := &Counterexample{DB: sub, IDs: tids, Witness: c.key, Q1: q1, Q2: q2}
+		ce := &Counterexample{DB: sub, IDs: tids, Witness: c.key, Q1: p.Q1, Q2: p.Q2}
 		if opts.Parameterize {
 			ce.Params = map[string]relation.Value{}
-			for k, v := range origParams {
+			for k, v := range p.Params {
 				ce.Params[k] = v
 			}
 			for k, v := range res.Params {
 				ce.Params[k] = floatValue(v)
 			}
-		} else if len(origParams) > 0 {
-			ce.Params = origParams
+		} else if len(p.Params) > 0 {
+			ce.Params = p.Params
 		}
 		pending = append(pending, ce)
 	}
-	// The rebuilt problem must keep the caller's budget fields, or the
-	// verification phase would escape the request's deadline and caps.
-	verifyProblem := Problem{Q1: q1, Q2: q2, DB: p.DB, Constraints: p.Constraints, Params: origParams,
-		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
 	var best *Counterexample
 	for _, ce := range pending {
 		// An expired budget rejects the remaining candidates; the no-result
 		// path below then surfaces the budget error.
-		if verifyProblem.interrupted() != nil {
+		if p.interrupted() != nil {
 			break
 		}
-		if Verify(verifyProblem, ce) != nil {
+		if Verify(p, ce) != nil {
 			continue
 		}
 		if best == nil || ce.Size() < best.Size() {
@@ -322,17 +289,9 @@ func groupDisagreement(g1, g2 *aggGroup, ap1, ap2 *aggProvResult) smt.Formula {
 
 // addFKFormulas conjoins child→parent implications for every tuple variable
 // reachable in the formula (Section 4.3), to a fixpoint.
-func addFKFormulas(f smt.Formula, db *relation.Database, fks []relation.ForeignKey) smt.Formula {
-	if len(fks) == 0 {
+func addFKFormulas(f smt.Formula, fk fkIndex) smt.Formula {
+	if len(fk) == 0 {
 		return f
-	}
-	parentMaps := make([]map[relation.TupleID][]relation.TupleID, len(fks))
-	for i, fk := range fks {
-		m, err := fk.ParentsOf(db)
-		if err != nil {
-			return f
-		}
-		parentMaps[i] = m
 	}
 	processed := map[int]bool{}
 	out := f
@@ -344,7 +303,7 @@ func addFKFormulas(f smt.Formula, db *relation.Database, fks []relation.ForeignK
 				continue
 			}
 			processed[id] = true
-			for _, m := range parentMaps {
+			for _, m := range fk {
 				if ps, ok := m[relation.TupleID(id)]; ok {
 					kids := []*boolexpr.Expr{boolexpr.Not(boolexpr.Var(id))}
 					for _, pid := range ps {
@@ -472,13 +431,11 @@ func floatValue(f float64) relation.Value {
 // aggregation, find a differing tuple of the pre-aggregation queries
 // Q'1 − Q'2, minimize its witness with the SPJUD machinery, pick HAVING
 // parameters that let the shrunken groups pass, and re-enumerate models
-// until the original aggregate queries disagree on the candidate.
+// until the original aggregate queries disagree on the candidate. The first
+// candidate is the min-ones optimum of the witness formula.
 func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "Agg-Opt"}
 	start := time.Now()
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
 	maxRetries := opts.MaxRetries
 	if maxRetries <= 0 {
 		maxRetries = 64
@@ -486,49 +443,17 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 
 	// Parameterize constant HAVING thresholds so the heuristic may relax
 	// them (Section 5.3.2).
-	q1, o1 := ParameterizeHaving(p.Q1)
-	q2, o2 := ParameterizeHaving(p.Q2)
-	origParams := map[string]relation.Value{}
-	for k, v := range p.Params {
-		origParams[k] = v
-	}
-	for k, v := range o1 {
-		origParams[k] = v
-	}
-	for k, v := range o2 {
-		origParams[k] = v
-	}
-
-	spec1, ok1 := ra.MatchTopAggregate(q1)
-	spec2, ok2 := ra.MatchTopAggregate(q2)
+	pp := p.withHavingParams()
+	spec1, ok1 := ra.MatchTopAggregate(pp.Q1)
+	spec2, ok2 := ra.MatchTopAggregate(pp.Q2)
 	if !ok1 || !ok2 {
 		return nil, nil, fmt.Errorf("core: AggOpt requires both queries of shape π? σ* γ(Q')")
 	}
-	inner1, inner2 := spec1.Inner, spec2.Inner
+	inner := pp
+	inner.Q1, inner.Q2 = spec1.Inner, spec2.Inner
 
-	t0 := time.Now()
-	r1, err := engine.EvalOpts(inner1, p.DB, origParams, p.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	r2, err := engine.EvalOpts(inner2, p.DB, origParams, p.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.RawEvalTime = time.Since(t0)
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-
-	d12 := r1.SetDiff(r2)
-	d21 := r2.SetDiff(r1)
-	qa, qb := inner1, inner2
-	diff := d12
-	if diff.Len() == 0 {
-		qa, qb = inner2, inner1
-		diff = d21
-	}
-	if diff.Len() == 0 {
+	d12, d21, err := inner.baseDiff(stats)
+	if errors.Is(err, ErrQueriesAgree) {
 		// The pre-aggregation queries agree; the disagreement comes from
 		// grouping or HAVING alone. Fall back to the provenance-based
 		// aggregate algorithm.
@@ -544,30 +469,24 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		st.TotalTime = time.Since(start)
 		return ce, st, nil
 	}
-	t := diff.Tuples[0]
-
-	t0 = time.Now()
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProvOpts(pushed, p.DB, origParams, p.engineOpts())
 	if err != nil {
 		return nil, nil, err
 	}
-	i := ann.Lookup(t)
-	if i < 0 {
-		return nil, nil, fmt.Errorf("core: tuple %v missing after pushdown", t)
+	qa, qb, t := firstWitness(inner.Q1, inner.Q2, d12, d21)
+
+	t0 := time.Now()
+	prov, err := inner.witnessProv(&ra.Diff{L: qa, R: qb}, t)
+	if err != nil {
+		return nil, nil, err
 	}
-	prov := ann.Anns[i]
 	stats.ProvEvalTime = time.Since(t0)
 
-	fks := p.ForeignKeys()
 	t0 = time.Now()
-	b, counted, varToID, err := buildCNF(prov, p.DB, fks)
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return nil, nil, err
 	}
-
-	verifyProblem := Problem{Q1: q1, Q2: q2, DB: p.DB, Constraints: p.Constraints, Params: origParams,
-		Ctx: p.Ctx, MaxConflicts: p.MaxConflicts, MaxRows: p.MaxRows}
+	b, counted, varToID := buildCNF(prov, fk)
 	var result *Counterexample
 	// The model loop stays adaptive — each candidate's acceptance decides
 	// whether the solver enumerates another model, so verifying one at a
@@ -575,18 +494,15 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	// Batching would not help anyway: every candidate carries its own
 	// chosen HAVING parameters and query rewrites, the case the batch
 	// layer's γ fallback hands back to per-candidate Verify.
-	err = forEachWitnessModel(b, counted, varToID, maxRetries, p.stopFunc(), func(ids []int) bool {
+	forEachWitnessModel(b, counted, varToID, maxRetries, p.solverOpts(), func(ids []int) bool {
 		stats.ModelsTried++
-		closed, ferr := fkClose(ids, p.DB, fks)
-		if ferr != nil {
-			return true
-		}
-		sub, tids := subinstanceFromIDs(p.DB, closed)
-		ce := &Counterexample{DB: sub, IDs: tids, Witness: t, Q1: q1, Q2: q2}
+		ids, _ = fkClose(ids, fk)
+		sub, tids := subinstanceFromIDs(p.DB, ids)
+		ce := &Counterexample{DB: sub, IDs: tids, Witness: t, Q1: pp.Q1, Q2: pp.Q2}
 		// Choose parameter values that let the shrunken groups pass the
 		// HAVING thresholds (the paper's per-aggregate heuristic).
-		ce.Params = chooseParams(p, q1, q2, sub, origParams)
-		if Verify(verifyProblem, ce) == nil {
+		ce.Params = chooseParams(pp, sub)
+		if Verify(pp, ce) == nil {
 			result = ce
 			return true
 		}
@@ -594,9 +510,6 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	})
 	stats.SolverTime = time.Since(t0)
 	stats.TotalTime = time.Since(start)
-	if err != nil {
-		return nil, nil, err
-	}
 	if result == nil {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
@@ -607,65 +520,63 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	return result, stats, nil
 }
 
-// forEachWitnessModel yields witness models smallest-first: first the
-// min-ones optimum, then successive distinct models by blocking clauses.
-// yield returns true to stop; stop (may be nil) aborts the solver on
-// budget expiry.
-func forEachWitnessModel(b *boolexpr.CNFBuilder, counted []int, varToID map[int]int, max int, stop func() bool, yield func(ids []int) bool) error {
-	s := sat.New()
-	s.Stop = stop
-	s.EnsureVars(b.NumVars)
-	for _, c := range b.Clauses {
-		if err := s.AddClause(c...); err != nil {
-			return nil // formula inconsistent: no models
-		}
+// forEachWitnessModel yields up to max witness models smallest-first: first
+// the min-ones optimum (minones.Minimize), then the CDCL solver's successive
+// models, each blocked on the counted variables once yielded. yield returns
+// true to stop; opts bound every SAT call.
+func forEachWitnessModel(b *boolexpr.CNFBuilder, counted []int, varToID map[int]int, max int, opts minones.Options, yield func(ids []int) bool) {
+	first := minones.Minimize(b.NumVars, b.Clauses, counted, opts)
+	if first.Model == nil {
+		return // infeasible, or the first solve ran out of budget
 	}
-	nextModel := func() ([]int, bool) {
-		if s.Solve() != sat.Sat {
-			return nil, false
-		}
-		var ids []int
+	// project returns a model's tuple ids and the clause that blocks it.
+	project := func(value func(v int) bool) (ids, block []int) {
+		block = make([]int, 0, len(counted))
 		for _, v := range counted {
-			if s.Value(v) {
+			if value(v) {
 				ids = append(ids, varToID[v])
-			}
-		}
-		return ids, true
-	}
-	for n := 0; n < max; n++ {
-		ids, ok := nextModel()
-		if !ok {
-			return nil
-		}
-		if yield(ids) {
-			return nil
-		}
-		// Block this projection on the counted variables.
-		block := make([]int, 0, len(counted))
-		for _, v := range counted {
-			if s.Value(v) {
 				block = append(block, -v)
 			} else {
 				block = append(block, v)
 			}
 		}
-		if err := s.AddClause(block...); err != nil {
-			return nil
+		return ids, block
+	}
+	ids, block := project(func(v int) bool { return first.Model[v] })
+	if yield(ids) {
+		return
+	}
+	// The enumeration solver is loaded only now: over the course-explain
+	// and tpch-agg workloads the first candidate verified on every pair.
+	s := sat.New()
+	s.MaxConflicts, s.Stop = opts.MaxConflictsPerCall, opts.Stop
+	s.EnsureVars(b.NumVars)
+	for _, c := range b.Clauses {
+		if s.AddClause(c...) != nil {
+			return
 		}
 	}
-	return nil
+	for n := 1; n < max; n++ {
+		if s.AddClause(block...) != nil || s.Solve() != sat.Sat {
+			return
+		}
+		ids, block = project(s.Value)
+		if yield(ids) {
+			return
+		}
+	}
 }
 
 // chooseParams picks HAVING parameter values for a candidate subinstance:
 // for each parameterized threshold it takes the smallest aggregate value
 // realized by the candidate's groups, adjusted so the comparison passes
 // (the COUNT/SUM/MIN/MAX/AVG heuristics of Section 5.3.2).
-func chooseParams(p Problem, q1, q2 ra.Node, sub *relation.Database, orig map[string]relation.Value) map[string]relation.Value {
+func chooseParams(p Problem, sub *relation.Database) map[string]relation.Value {
 	out := map[string]relation.Value{}
-	for k, v := range orig {
+	for k, v := range p.Params {
 		out[k] = v
 	}
-	for _, q := range []ra.Node{q1, q2} {
+	for _, q := range []ra.Node{p.Q1, p.Q2} {
 		spec, ok := ra.MatchTopAggregate(q)
 		if !ok {
 			continue

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/boolexpr"
+	"repro/internal/minones"
 	"repro/internal/raparser"
 	"repro/internal/relation"
+	"repro/internal/sat"
 	"repro/internal/testdb"
 )
 
@@ -203,5 +207,58 @@ func TestAggBasicAgreeingQueries(t *testing.T) {
 	p := Problem{Q1: testdb.AggQ1(), Q2: testdb.AggQ1(), DB: testdb.Example1DB()}
 	if _, _, err := AggBasic(p, AggOptions{}); err == nil {
 		t.Error("agreeing aggregate queries should error")
+	}
+}
+
+// TestForEachWitnessModelStartsAtOptimum: Agg-Opt's first candidate is the
+// min-ones optimum of the witness formula, also when the CDCL solver's
+// first model is larger; later candidates are distinct models.
+func TestForEachWitnessModelStartsAtOptimum(t *testing.T) {
+	// (1 ∨ 2) ∧ (1 ∨ 3) ∧ (1 ∨ 4): the optimum is {1}.
+	prov := boolexpr.And(
+		boolexpr.Or(boolexpr.Var(1), boolexpr.Var(2)),
+		boolexpr.Or(boolexpr.Var(1), boolexpr.Var(3)),
+		boolexpr.Or(boolexpr.Var(1), boolexpr.Var(4)))
+	b, counted, varToID := buildCNF(prov, nil)
+
+	s := sat.New()
+	s.EnsureVars(b.NumVars)
+	for _, c := range b.Clauses {
+		if err := s.AddClause(c...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Solve() != sat.Sat {
+		t.Fatal("formula unsatisfiable")
+	}
+	cdcl := 0
+	for _, v := range counted {
+		if s.Value(v) {
+			cdcl++
+		}
+	}
+	if cdcl <= 1 {
+		t.Fatalf("the CDCL solver's first model has %d tuples; the formula no longer tests the minimized start", cdcl)
+	}
+
+	var got [][]int
+	forEachWitnessModel(b, counted, varToID, 3, minones.Options{}, func(ids []int) bool {
+		got = append(got, ids)
+		return false
+	})
+	if len(got) != 3 {
+		t.Fatalf("got %d models, want 3", len(got))
+	}
+	if len(got[0]) != 1 || got[0][0] != 1 {
+		t.Errorf("first model %v, want the optimum [1]", got[0])
+	}
+	seen := map[string]bool{}
+	for _, ids := range got {
+		sort.Ints(ids)
+		key := string(idsKey(ids, nil))
+		if seen[key] {
+			t.Errorf("model %v yielded twice", ids)
+		}
+		seen[key] = true
 	}
 }

@@ -7,16 +7,25 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/raparser"
 	"repro/internal/testdb"
 )
 
 // A canceled context must abort every algorithm entry point with an error
 // wrapping both ErrBudget and context.Canceled — never a counterexample.
+// The entry points are those the ratest algorithm names reach, each on a
+// pair of its class.
 func TestCanceledContextAborts(t *testing.T) {
 	db := testdb.Example1DB()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	p := Problem{Q1: testdb.Q1(), Q2: testdb.Q2(), DB: db, Ctx: ctx}
+	mono := p
+	mono.Q1 = raparser.MustParse(`project[name, major](Student join Registration)`)
+	agg := p
+	agg.Q1, agg.Q2 = testdb.AggQ1(), testdb.AggQ2()
+	having := p
+	having.Q1, having.Q2 = testdb.HavingQ1(), testdb.HavingQ2()
 
 	algos := map[string]func() error{
 		"Explain":     func() error { _, _, err := Explain(p); return err },
@@ -28,6 +37,12 @@ func TestCanceledContextAborts(t *testing.T) {
 			return err
 		},
 		"EnumerateSmallest": func() error { _, err := EnumerateSmallest(p, 4); return err },
+		"MonotoneSWP":       func() error { _, _, err := MonotoneSWP(mono, 0); return err },
+		"JUStarSWP":         func() error { _, _, err := JUStarSWP(mono); return err },
+		"SPJUDStarSWP":      func() error { _, _, err := SPJUDStarSWP(p, 0); return err },
+		"Agg-Basic":         func() error { _, _, err := AggBasic(agg, AggOptions{}); return err },
+		"Agg-Param":         func() error { _, _, err := AggBasic(having, AggOptions{Parameterize: true}); return err },
+		"Agg-Opt":           func() error { _, _, err := AggOpt(agg, AggOptions{}); return err },
 	}
 	for name, run := range algos {
 		err := run()

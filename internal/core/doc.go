@@ -29,6 +29,30 @@
 // an unverified counterexample — every result passes [Verify] before it is
 // returned.
 //
+// # One pipeline
+//
+// The algorithms share one skeleton: evaluate Q1 and Q2 on D, pick a
+// differing tuple, push its selection down, compute its provenance, add the
+// foreign-key implications, solve, and verify. Each shared step is one
+// unexported function (pipeline.go), and an algorithm differs from the
+// others only in how it solves:
+//
+//   - the base difference: one budgeted evaluation of Q1 and Q2 on D,
+//     ErrQueriesAgree when both differences are empty;
+//   - the first-witness rule of the single-witness algorithms: the first
+//     tuple of Q1 − Q2, else the first of Q2 − Q1;
+//   - a tuple's pushed-down provenance (and, for the Theorem 5 and 7
+//     procedures, the per-term count pass and monotone DNF);
+//   - the foreign-key parent index: each foreign key's child tuples mapped
+//     to their parents, built once per explanation and passed to the CNF
+//     and SMT encodings, to the closure of the combinatorial algorithms
+//     (which keeps a parent already in the set) and to ShrinkGreedy's
+//     deletion guard;
+//   - the verified exit, through Verify.
+//
+// Agg-Param and Agg-Opt relax HAVING thresholds; both search and verify
+// against one rewritten Problem whose thresholds are parameters.
+//
 // # Candidate checking
 //
 // The search algorithms take their base diffs from one plain evaluation of
@@ -44,5 +68,6 @@
 //
 // Solvers live below this package: internal/sat (CDCL), internal/minones
 // (min-ones enumeration/optimization), internal/smt (symbolic aggregate
-// constraints).
+// constraints, a branch-and-bound search that polls the budget on every
+// node).
 package core

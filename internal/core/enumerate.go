@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/boolexpr"
-	"repro/internal/engine"
 	"repro/internal/minones"
 	"repro/internal/ra"
 	"repro/internal/relation"
@@ -30,20 +28,14 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	if max <= 0 {
 		max = 64
 	}
-	if err := p.interrupted(); err != nil {
-		return nil, err
-	}
-	differs, d12, d21, err := p.disagrees(p.DB)
+	d12, d21, err := p.baseDiff(nil)
 	if err != nil {
 		return nil, err
 	}
-	if !differs {
-		return nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
+	if err != nil {
 		return nil, err
 	}
-	fks := p.ForeignKeys()
 
 	type tupleCase struct {
 		t      relation.Tuple
@@ -57,24 +49,21 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 	best := -1
 	seenCase := map[string]bool{}
 	for _, side := range []struct {
-		qa, qb ra.Node
-		diff   *relation.Relation
-	}{{p.Q1, p.Q2, d12}, {p.Q2, p.Q1, d21}} {
+		q    ra.Node
+		diff *relation.Relation
+	}{{&ra.Diff{L: p.Q1, R: p.Q2}, d12}, {&ra.Diff{L: p.Q2, R: p.Q1}, d21}} {
 		for _, t := range side.diff.Tuples {
 			if err := p.interrupted(); err != nil {
 				return nil, err
 			}
-			prov, err := provOfPushedTuple(side.qa, side.qb, t, p)
+			prov, err := p.pushedProv(side.q, t)
 			if err != nil {
 				return nil, err
 			}
 			if prov == nil {
 				continue
 			}
-			b, counted, varToID, err := buildCNF(prov, p.DB, fks)
-			if err != nil {
-				return nil, err
-			}
+			b, counted, varToID := buildCNF(prov, fk)
 			if key := cnfKey(b.Clauses, counted, varToID); seenCase[key] {
 				continue
 			} else {
@@ -157,19 +146,6 @@ func EnumerateSmallest(p Problem, max int) ([]*Counterexample, error) {
 		return nil, fmt.Errorf("core: enumeration found no verifying counterexamples")
 	}
 	return out, nil
-}
-
-func provOfPushedTuple(qa, qb ra.Node, t relation.Tuple, p Problem) (*boolexpr.Expr, error) {
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
-	if err != nil {
-		return nil, err
-	}
-	i := ann.Lookup(t)
-	if i < 0 {
-		return nil, nil
-	}
-	return ann.Anns[i], nil
 }
 
 // idsKey appends a compact binary encoding of the (sorted) id set to buf

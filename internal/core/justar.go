@@ -1,12 +1,10 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/boolexpr"
-	"repro/internal/engine"
 	"repro/internal/ra"
 )
 
@@ -47,82 +45,37 @@ func JUStarSWP(p Problem) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "JUStar"}
 	start := time.Now()
-
-	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
+	d12, d21, err := p.baseDiff(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	qa := p.Q1
-	diff := d12
-	if diff.Len() == 0 {
-		qa = p.Q2
-		diff = d21
-	}
-	t := diff.Tuples[0]
+	qa, _, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	// Try every union leaf containing t and keep the smallest witness.
-	t0 = time.Now()
-	var bestIDs []int
-	cat := engine.Catalog{DB: p.DB}
+	t0 := time.Now()
+	var best boolexpr.Minterm
 	for _, leaf := range unionLeaves(qa) {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		schema, err := ra.OutSchema(leaf, cat)
-		if err != nil || schema.Arity() != len(t) {
-			continue
-		}
-		pushed := PushDownTupleSelection(leaf, t, p.DB)
-		// Counting-semiring cardinality pre-check: t ∈ leaf(D) iff the
-		// pushed-down selection has nonempty support. The count pass costs
-		// a fraction of the provenance pass it skips for leaves that never
-		// produce t (the common case: t originates from specific leaves);
-		// errors mean the leaf is unevaluable, which — as before this
-		// rewrite — disqualifies the leaf rather than the whole search.
-		if n, err := engine.CountDistinctOpts(pushed, p.DB, p.Params, p.engineOpts()); err != nil || n == 0 {
-			continue
-		}
-		ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
+		dnf, err := p.termWitnesses(leaf, t, 1<<16)
 		if err != nil {
 			return nil, nil, err
 		}
-		i := ann.Lookup(t)
-		if i < 0 {
-			continue
-		}
-		dnf, err := boolexpr.MonotoneDNF(ann.Anns[i], 1<<16)
-		if err != nil {
-			return nil, nil, err
-		}
-		if m := dnf.Smallest(); m != nil && (bestIDs == nil || len(m) < len(bestIDs)) {
-			bestIDs = []int(m)
+		if m := dnf.Smallest(); m != nil && (best == nil || len(m) < len(best)) {
+			best = m
 		}
 	}
 	stats.ProvEvalTime = time.Since(t0)
-	if bestIDs == nil {
+	if best == nil {
 		return nil, nil, fmt.Errorf("core: no union leaf produces the differing tuple")
 	}
-	ids, err := fkClose(bestIDs, p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return nil, nil, err
 	}
-	sub, tids := subinstanceFromIDs(p.DB, ids)
-	ce := &Counterexample{DB: sub, IDs: tids, Witness: t}
-	stats.WitnessSize = ce.Size()
-	stats.Optimal = true
-	stats.TotalTime = time.Since(start)
-	if err := Verify(p, ce); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: JUStarSWP produced an invalid counterexample: %v", err)
-	}
-	return ce, stats, nil
+	ids, _ := fkClose(best, fk)
+	// As in MonotoneSWP: proven smallest unless the closure added parents.
+	stats.Optimal = len(ids) == len(best)
+	return p.finish(stats, start, ids, t)
 }

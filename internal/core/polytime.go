@@ -1,58 +1,13 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/boolexpr"
-	"repro/internal/engine"
 	"repro/internal/ra"
-	"repro/internal/relation"
 )
-
-// fkClose extends a set of tuple ids with foreign-key parents, transitively,
-// choosing the first parent when several share a key (Section 4.3 closure
-// for the combinatorial algorithms; the solver-based algorithms encode the
-// choice instead).
-func fkClose(ids []int, db *relation.Database, fks []relation.ForeignKey) ([]int, error) {
-	if len(fks) == 0 {
-		// Sorted like the closure path below: callers fingerprint the
-		// result (idsKey) and feed it to dedup maps, so passing map-order
-		// input through unsorted made equal id sets look distinct.
-		out := append([]int(nil), ids...)
-		sort.Ints(out)
-		return out, nil
-	}
-	parentMaps := make([]map[relation.TupleID][]relation.TupleID, len(fks))
-	for i, fk := range fks {
-		m, err := fk.ParentsOf(db)
-		if err != nil {
-			return nil, err
-		}
-		parentMaps[i] = m
-	}
-	in := map[int]bool{}
-	queue := append([]int(nil), ids...)
-	var out []int
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		if in[id] {
-			continue
-		}
-		in[id] = true
-		out = append(out, id)
-		for _, m := range parentMaps {
-			if ps, ok := m[relation.TupleID(id)]; ok && len(ps) > 0 {
-				queue = append(queue, int(ps[0]))
-			}
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
 
 // MonotoneSWP solves SWP for monotone (SPJU) queries in polynomial data
 // complexity via the DNF algorithm of Theorem 6: compute the
@@ -73,35 +28,17 @@ func MonotoneSWP(p Problem, maxTerms int) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "MonotoneDNF"}
 	start := time.Now()
+	d12, d21, err := p.baseDiff(stats)
+	if err != nil {
+		return nil, nil, err
+	}
+	qa, _, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
+	prov, err := p.witnessProv(qa, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	qa := p.Q1
-	diff := d12
-	if diff.Len() == 0 {
-		qa = p.Q2
-		diff = d21
-	}
-	t := diff.Tuples[0]
-
-	t0 = time.Now()
-	pushed := PushDownTupleSelection(qa, t, p.DB)
-	ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	i := ann.Lookup(t)
-	if i < 0 {
-		return nil, nil, fmt.Errorf("core: tuple %v missing after pushdown", t)
-	}
-	prov := ann.Anns[i]
 	stats.ProvEvalTime = time.Since(t0)
 
 	t0 = time.Now()
@@ -113,26 +50,16 @@ func MonotoneSWP(p Problem, maxTerms int) (*Counterexample, *Stats, error) {
 	if smallest == nil {
 		return nil, nil, fmt.Errorf("core: empty DNF (tuple has no witness)")
 	}
-	ids, err := fkClose([]int(smallest), p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return nil, nil, err
 	}
+	ids, _ := fkClose(smallest, fk)
 	stats.SolverTime = time.Since(t0)
-
-	sub, tids := subinstanceFromIDs(p.DB, ids)
-	ce := &Counterexample{DB: sub, IDs: tids, Witness: t}
-	stats.WitnessSize = ce.Size()
-	stats.Optimal = true
-	stats.TotalTime = time.Since(start)
-	if err := Verify(p, ce); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: MonotoneSWP produced an invalid counterexample: %v", err)
-	}
-	return ce, stats, nil
+	// The smallest minterm is a smallest witness; once the closure adds
+	// parents, a larger minterm that needs none may be smaller overall.
+	stats.Optimal = len(ids) == len(smallest)
+	return p.finish(stats, start, ids, t)
 }
 
 // SPJUDStarSWP implements the Theorem 7 enumeration for SPJUD* queries
@@ -151,73 +78,27 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "SPJUDStar"}
 	start := time.Now()
-
-	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
+	d12, d21, err := p.baseDiff(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-	qa, qb := p.Q1, p.Q2
-	diff := d12
-	if diff.Len() == 0 {
-		qa, qb = p.Q2, p.Q1
-		diff = d21
-	}
-	t := diff.Tuples[0]
-	whole := &ra.Diff{L: qa, R: qb}
-	terms := ra.SPJUTerms(whole)
+	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
-	// For every SPJU term containing t, collect its minimal witnesses.
-	t0 = time.Now()
-	var witnessSets [][][]int
-	cat := engine.Catalog{DB: p.DB}
-	for _, q := range terms {
+	// For every SPJU term containing t, collect its minimal witnesses plus
+	// the empty choice (drop this term's witness).
+	t0 := time.Now()
+	var witnessSets []boolexpr.DNF
+	for _, q := range ra.SPJUTerms(&ra.Diff{L: qa, R: qb}) {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
-		// Union-compatibility: compare positionally via key.
-		schema, err := ra.OutSchema(q, cat)
-		if err != nil || schema.Arity() != len(t) {
-			continue // monotone term never contains t on subinstances
-		}
-		pushed := PushDownTupleSelection(q, t, p.DB)
-		// Counting-semiring cardinality pre-check: t ∈ q(D) iff the pushed
-		// selection has nonempty support. The count pass costs a fraction
-		// of the provenance pass it skips (no annotation expressions), so
-		// it pays off whenever some terms don't produce t — the common
-		// case, since t originates from specific SPJU terms.
-		n, err := engine.CountDistinctOpts(pushed, p.DB, p.Params, p.engineOpts())
+		dnf, err := p.termWitnesses(q, t, maxCombos)
 		if err != nil {
 			return nil, nil, err
 		}
-		if n == 0 {
-			continue
+		if len(dnf) > 0 {
+			witnessSets = append(witnessSets, append(boolexpr.DNF{nil}, dnf...))
 		}
-		ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
-		if err != nil {
-			return nil, nil, err
-		}
-		i := ann.Lookup(t)
-		if i < 0 {
-			continue
-		}
-		dnf, err := boolexpr.MonotoneDNF(ann.Anns[i], maxCombos)
-		if err != nil {
-			return nil, nil, err
-		}
-		set := make([][]int, 0, len(dnf)+1)
-		set = append(set, nil) // the empty choice: drop this term's witness
-		for _, m := range dnf {
-			set = append(set, []int(m))
-		}
-		witnessSets = append(witnessSets, set)
 	}
 	stats.ProvEvalTime = time.Since(t0)
 
@@ -227,6 +108,10 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 		if nCombos > maxCombos {
 			return nil, nil, fmt.Errorf("core: SPJUD* enumeration exceeds %d combinations", maxCombos)
 		}
+	}
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
+	if err != nil {
+		return nil, nil, err
 	}
 
 	t0 = time.Now()
@@ -238,6 +123,11 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	var combos [][]int
 	seen := map[string]bool{}
 	var scratch []byte
+	// forced stays true while every closure adds only sole parents. Every
+	// constraint-valid witness contains a union of picks on which t still
+	// differs, and then also that union's closure, so the smallest
+	// disagreeing closed union is provably smallest (Theorem 7).
+	forced := true
 	pick := make([]int, len(witnessSets))
 	for {
 		if err := p.interrupted(); err != nil {
@@ -256,10 +146,8 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 				ids = append(ids, id)
 			}
 			sort.Ints(ids)
-			ids, err = fkClose(ids, p.DB, p.ForeignKeys())
-			if err != nil {
-				return nil, nil, err
-			}
+			ids, chose := fkClose(ids, fk)
+			forced = forced && !chose
 			// Distinct picks often close over the same id union; check each
 			// union once (first occurrence keeps the tie-break order).
 			scratch = idsKey(ids, scratch[:0])
@@ -314,6 +202,6 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 		return nil, nil, fmt.Errorf("core: SPJUD* enumeration found no witness")
 	}
 	stats.WitnessSize = best.Size()
-	stats.Optimal = true
+	stats.Optimal = forced
 	return best, stats, nil
 }

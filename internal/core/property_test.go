@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"repro/internal/engine"
 	"testing"
@@ -194,6 +195,154 @@ func TestModelsVerifyUnderFK(t *testing.T) {
 	}
 	if tried == 0 {
 		t.Skip("no valid FK instances generated")
+	}
+}
+
+// fkBA is the foreign key B.x → A.x over randomSmallDB's schema. A.x is not
+// unique, so a B tuple may have several parents.
+var fkBA = relation.ForeignKey{ChildRel: "B", ChildAttrs: []string{"x"}, ParentRel: "A", ParentAttrs: []string{"x"}}
+
+// randomBPair builds small query pairs over B alone. Under fkBA every
+// witness then needs parents that neither query reads.
+func randomBPair(rng *rand.Rand) (ra.Node, ra.Node) {
+	preds := []ra.Expr{
+		&ra.Cmp{Op: ra.EQ, L: &ra.AttrRef{Name: "z"}, R: &ra.Const{Val: relation.Int(1)}},
+		&ra.Cmp{Op: ra.GT, L: &ra.AttrRef{Name: "z"}, R: &ra.Const{Val: relation.Int(0)}},
+		&ra.Cmp{Op: ra.LE, L: &ra.AttrRef{Name: "x"}, R: &ra.AttrRef{Name: "z"}},
+		&ra.Cmp{Op: ra.NE, L: &ra.AttrRef{Name: "x"}, R: &ra.Const{Val: relation.Int(2)}},
+	}
+	mk := func(i int) ra.Node {
+		return &ra.Project{Cols: []string{"x"}, In: &ra.Select{Pred: preds[i], In: &ra.Rel{Name: "B"}}}
+	}
+	a, b := rng.Intn(len(preds)), rng.Intn(len(preds))
+	for b == a {
+		b = rng.Intn(len(preds))
+	}
+	q1, q2 := mk(a), mk(b)
+	if rng.Intn(3) == 0 {
+		base := &ra.Project{Cols: []string{"x"}, In: &ra.Rel{Name: "B"}}
+		q1 = &ra.Diff{L: base, R: q1}
+		q2 = &ra.Diff{L: base, R: q2}
+	}
+	return q1, q2
+}
+
+// bruteSmallest returns the size of the smallest subinstance of p.DB that
+// satisfies p's constraints and ok, or -1. It tries subinstances by size.
+func bruteSmallest(p Problem, ok func(sub *relation.Database) bool) int {
+	ids := p.DB.AllIDs()
+	n := len(ids)
+	for size := 0; size <= n; size++ {
+		for mask := 0; mask < 1<<n; mask++ {
+			if bits.OnesCount(uint(mask)) != size {
+				continue
+			}
+			keep := map[relation.TupleID]bool{}
+			for i, id := range ids {
+				if mask&(1<<i) != 0 {
+					keep[id] = true
+				}
+			}
+			if sub := p.DB.Subinstance(keep); constraintsHold(p, sub) && ok(sub) {
+				return size
+			}
+		}
+	}
+	return -1
+}
+
+// bruteSCP is the smallest constraint-valid counterexample's size.
+func bruteSCP(p Problem) int {
+	return bruteSmallest(p, func(sub *relation.Database) bool {
+		differs, _, _, err := Disagrees(p.Q1, p.Q2, sub, p.Params)
+		return err == nil && differs
+	})
+}
+
+// bruteSWP is the size of the smallest constraint-valid subinstance on which
+// t stays in Qa − Qb, where Qa is the query that produces t on D.
+func bruteSWP(p Problem, t relation.Tuple) int {
+	qa, qb := p.Q1, p.Q2
+	if r1, err := engine.Eval(p.Q1, p.DB, p.Params); err != nil || !r1.Contains(t) {
+		qa, qb = p.Q2, p.Q1
+	}
+	return bruteSmallest(p, func(sub *relation.Database) bool {
+		inA, err := engine.Eval(qa, sub, p.Params)
+		if err != nil || !inA.Contains(t) {
+			return false
+		}
+		inB, err := engine.Eval(qb, sub, p.Params)
+		return err == nil && !inB.Contains(t)
+	})
+}
+
+// TestSPJUDAlgorithmsAgainstBruteForce checks every SPJUD algorithm that
+// reports Optimal against brute force on small generated instances, once
+// without constraints and once under fkBA: OptSigmaAll against the smallest
+// counterexample, the single-witness algorithms against the smallest
+// witness of the tuple they explain. No answer may be smaller than brute
+// force, and an Optimal answer must equal it.
+func TestSPJUDAlgorithmsAgainstBruteForce(t *testing.T) {
+	spjud := func(q ra.Node) bool { return true }
+	monotone := func(q ra.Node) bool { return ra.Classify(q).Monotone() }
+	algos := []struct {
+		name    string
+		applies func(ra.Node) bool
+		run     func(Problem) (*Counterexample, *Stats, error)
+	}{
+		{"OptSigmaAll", spjud, OptSigmaAll},
+		{"OptSigma", spjud, OptSigma},
+		{"MonotoneSWP", monotone, func(p Problem) (*Counterexample, *Stats, error) { return MonotoneSWP(p, 0) }},
+		{"JUStarSWP", func(q ra.Node) bool { return monotone(q) && ra.IsJUStar(q) }, JUStarSWP},
+		{"SPJUDStarSWP", ra.IsSPJUDStar, func(p Problem) (*Counterexample, *Stats, error) { return SPJUDStarSWP(p, 0) }},
+	}
+	for _, withFK := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(7))
+		var cons []relation.Constraint
+		if withFK {
+			cons = []relation.Constraint{fkBA}
+		}
+		checked := map[string]int{}
+		for trial := 0; trial < 600; trial++ {
+			db := randomSmallDB(rng)
+			q1, q2 := randomQueryPair(rng)
+			if rng.Intn(4) == 0 {
+				q1, q2 = randomBPair(rng)
+			}
+			if withFK && fkBA.Validate(db) != nil {
+				continue
+			}
+			p := Problem{Q1: q1, Q2: q2, DB: db, Constraints: cons}
+			if differs, _, _, err := Disagrees(q1, q2, db, nil); err != nil || !differs {
+				continue
+			}
+			for _, a := range algos {
+				if !a.applies(q1) || !a.applies(q2) {
+					continue
+				}
+				ce, stats, err := a.run(p)
+				if err != nil {
+					t.Fatalf("fk=%v trial %d: %s: %v\nQ1=%s\nQ2=%s\n%s", withFK, trial, a.name, err, q1, q2, db)
+				}
+				var want int
+				if a.name == "OptSigmaAll" {
+					want = bruteSCP(p)
+				} else {
+					want = bruteSWP(p, ce.Witness)
+				}
+				if ce.Size() < want || (stats.Optimal && ce.Size() != want) {
+					t.Errorf("fk=%v trial %d: %s = %d tuples (Optimal %v), brute force = %d\nQ1=%s\nQ2=%s\n%s",
+						withFK, trial, a.name, ce.Size(), stats.Optimal, want, q1, q2, db)
+				}
+				checked[a.name]++
+			}
+		}
+		for _, a := range algos {
+			if checked[a.name] < 20 {
+				t.Errorf("fk=%v: only %d problems checked for %s", withFK, checked[a.name], a.name)
+			}
+		}
+		t.Logf("fk=%v: problems checked per algorithm: %v", withFK, checked)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -35,17 +34,13 @@ type fkEdge struct {
 	child relation.TupleID
 }
 
-func newFKGuard(db *relation.Database, fks []relation.ForeignKey) (*fkGuard, error) {
+func newFKGuard(fk fkIndex) *fkGuard {
 	g := &fkGuard{
 		parentChildren: map[relation.TupleID][]fkEdge{},
-		liveParents:    make([]map[relation.TupleID]int, len(fks)),
+		liveParents:    make([]map[relation.TupleID]int, len(fk)),
 		removed:        map[relation.TupleID]bool{},
 	}
-	for i, fk := range fks {
-		m, err := fk.ParentsOf(db)
-		if err != nil {
-			return nil, err
-		}
+	for i, m := range fk {
 		g.liveParents[i] = make(map[relation.TupleID]int, len(m))
 		for child, parents := range m {
 			g.liveParents[i][child] = len(parents)
@@ -54,7 +49,7 @@ func newFKGuard(db *relation.Database, fks []relation.ForeignKey) (*fkGuard, err
 			}
 		}
 	}
-	return g, nil
+	return g
 }
 
 // removable reports whether deleting id keeps every live child supported
@@ -100,10 +95,11 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
-	guard, err := newFKGuard(p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return nil, nil, err
 	}
+	guard := newFKGuard(fk)
 	t0 := time.Now()
 	prep, perr := engine.PrepareDiff(p.Q1, p.Q2, p.DB, p.Params, p.engineOpts())
 	stats.RawEvalTime = time.Since(t0)
@@ -148,11 +144,7 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 		}
 		kept = prep.LiveIDs()
 		d12, d21 := prep.Diffs()
-		if d12.Len() > 0 {
-			witness = d12.Tuples[0]
-		} else if d21.Len() > 0 {
-			witness = d21.Tuples[0]
-		}
+		_, _, witness = firstWitness(p.Q1, p.Q2, d12, d21)
 	} else {
 		kept, witness, err = shrinkGreedyFallback(p, guard)
 		if err != nil {
@@ -163,19 +155,7 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 	for i, id := range kept {
 		ids[i] = int(id)
 	}
-	sub, tids := subinstanceFromIDs(p.DB, ids)
-	ce := &Counterexample{DB: sub, IDs: tids, Witness: witness}
-	stats.WitnessSize = ce.Size()
-	stats.TotalTime = time.Since(start)
-	if err := Verify(p, ce); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: ShrinkGreedy produced an invalid counterexample: %v", err)
-	}
-	return ce, stats, nil
+	return p.finish(stats, start, ids, witness)
 }
 
 // shrinkGreedyFallback is the no-retained-state loop: every deletion attempt
@@ -189,19 +169,11 @@ func shrinkGreedyFallback(p Problem, guard *fkGuard) ([]relation.TupleID, relati
 	for _, id := range p.DB.AllIDs() {
 		live[id] = true
 	}
-	differs, d12, d21, err := p.disagrees(p.DB)
+	d12, d21, err := p.baseDiff(nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	var witness relation.Tuple
-	if d12.Len() > 0 {
-		witness = d12.Tuples[0]
-	} else {
-		witness = d21.Tuples[0]
-	}
+	_, _, witness := firstWitness(p.Q1, p.Q2, d12, d21)
 	for {
 		progress := false
 		for _, id := range p.DB.AllIDs() {
@@ -220,11 +192,7 @@ func shrinkGreedyFallback(p Problem, guard *fkGuard) ([]relation.TupleID, relati
 			}
 			guard.remove(id)
 			progress = true
-			if nd12.Len() > 0 {
-				witness = nd12.Tuples[0]
-			} else {
-				witness = nd21.Tuples[0]
-			}
+			_, _, witness = firstWitness(p.Q1, p.Q2, nd12, nd21)
 		}
 		if !progress {
 			break

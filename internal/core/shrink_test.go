@@ -183,11 +183,11 @@ func TestShrinkGreedyFallbackMatches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	guard, err := newFKGuard(p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, _, err := shrinkGreedyFallback(p, guard)
+	kept, _, err := shrinkGreedyFallback(p, newFKGuard(fk))
 	if err != nil {
 		t.Fatal(err)
 	}

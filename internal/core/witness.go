@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -20,22 +19,14 @@ const DefaultDelta = 128
 // foreign-key implications of Section 4.3 into CNF. It returns the builder,
 // the SAT variables corresponding to base tuples (the counted variables of
 // the min-ones objective), and the mapping back to tuple identifiers.
-func buildCNF(prov *boolexpr.Expr, db *relation.Database, fks []relation.ForeignKey) (*boolexpr.CNFBuilder, []int, map[int]int, error) {
+func buildCNF(prov *boolexpr.Expr, fk fkIndex) (*boolexpr.CNFBuilder, []int, map[int]int) {
 	b := boolexpr.NewCNFBuilder()
 	b.Assert(prov)
 
 	// Foreign keys: a kept child tuple requires (one of) its parents,
 	// transitively. Adding implications can allocate new parent variables,
 	// so iterate to a fixpoint.
-	if len(fks) > 0 {
-		parentMaps := make([]map[relation.TupleID][]relation.TupleID, len(fks))
-		for i, fk := range fks {
-			m, err := fk.ParentsOf(db)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			parentMaps[i] = m
-		}
+	if len(fk) > 0 {
 		processed := map[int]bool{}
 		//lint:budgeted monotone fixpoint: each pass marks >=1 unprocessed base var processed, bounded by the CNF's variable count
 		for {
@@ -51,7 +42,7 @@ func buildCNF(prov *boolexpr.Expr, db *relation.Database, fks []relation.Foreign
 			}
 			for _, id := range pending {
 				processed[id] = true
-				for _, m := range parentMaps {
+				for _, m := range fk {
 					if parents, ok := m[relation.TupleID(id)]; ok {
 						ps := make([]int, len(parents))
 						for i, p := range parents {
@@ -70,7 +61,7 @@ func buildCNF(prov *boolexpr.Expr, db *relation.Database, fks []relation.Foreign
 		id, _ := b.ExprVar(sv)
 		varToID[sv] = id
 	}
-	return b, counted, varToID, nil
+	return b, counted, varToID
 }
 
 func modelToIDs(m minones.Model, counted []int, varToID map[int]int) []int {
@@ -116,24 +107,12 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "Basic"}
 	start := time.Now()
-	if err := p.interrupted(); err != nil {
+	d12, d21, err := p.baseDiff(stats)
+	if err != nil {
 		return nil, nil, err
 	}
 
 	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-
-	t0 = time.Now()
 	tuples, provs, err := provOfDiffTuples(p.Q1, p.Q2, d12, p)
 	if err != nil {
 		return nil, nil, err
@@ -148,13 +127,16 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 
 	// Fan the per-provenance SAT solves out over the worker pool: each
 	// iteration encodes and solves its own formula against the shared
-	// read-only database. Results land in per-index slots and the best-
-	// witness reduction below runs in index order, so the chosen
+	// read-only database and FK index. Results land in per-index slots and
+	// the best-witness reduction below runs in index order, so the chosen
 	// counterexample matches the serial loop's exactly. SolverTime is
 	// accumulated per task and merged (the same convention as OptSigmaAll):
 	// it reports aggregate solver work across workers and may exceed the
 	// wall-clock TotalTime when the pool is parallel.
-	fks := p.ForeignKeys()
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
+	if err != nil {
+		return nil, nil, err
+	}
 	type solveResult struct {
 		ids         []int
 		found       bool
@@ -168,10 +150,7 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 			return err
 		}
 		t0 := time.Now()
-		b, counted, varToID, err := buildCNF(provs[i], p.DB, fks)
-		if err != nil {
-			return err
-		}
+		b, counted, varToID := buildCNF(provs[i], fk)
 		r := minones.Enumerate(b.NumVars, b.Clauses, counted, delta, p.solverOpts())
 		res := &results[i]
 		res.solve = time.Since(t0)
@@ -210,13 +189,7 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 			bestIdx = i
 		}
 	}
-	var best *Counterexample
-	if bestIdx >= 0 {
-		sub, tids := subinstanceFromIDs(p.DB, results[bestIdx].ids)
-		best = &Counterexample{DB: sub, IDs: tids, Witness: tuples[bestIdx]}
-	}
-	stats.TotalTime = time.Since(start)
-	if best == nil {
+	if bestIdx < 0 {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
@@ -225,16 +198,7 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 		}
 		return nil, nil, fmt.Errorf("core: no satisfiable witness found (unexpected for a valid instance)")
 	}
-	stats.WitnessSize = best.Size()
-	if err := Verify(p, best); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: Basic produced an invalid counterexample: %v", err)
-	}
-	return best, stats, nil
+	return p.finish(stats, start, results[bestIdx].ids, tuples[bestIdx])
 }
 
 // OptSigma implements Algorithm 2 (the Optσ algorithm for SWP): pick one
@@ -244,52 +208,28 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 func OptSigma(p Problem) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "OptSigma"}
 	start := time.Now()
-	if err := p.interrupted(); err != nil {
+	d12, d21, err := p.baseDiff(stats)
+	if err != nil {
 		return nil, nil, err
 	}
+	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
+	prov, err := p.witnessProv(&ra.Diff{L: qa, R: qb}, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-
-	qa, qb := p.Q1, p.Q2
-	diff := d12
-	if diff.Len() == 0 {
-		qa, qb = p.Q2, p.Q1
-		diff = d21
-	}
-	t := diff.Tuples[0]
-
-	t0 = time.Now()
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
-	if err != nil {
-		return nil, nil, err
-	}
-	i := ann.Lookup(t)
-	if i < 0 {
-		return nil, nil, fmt.Errorf("core: tuple %v missing after selection pushdown", t)
-	}
-	prov := ann.Anns[i]
 	stats.ProvEvalTime = time.Since(t0)
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
 
 	t0 = time.Now()
-	b, counted, varToID, err := buildCNF(prov, p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return nil, nil, err
 	}
+	b, counted, varToID := buildCNF(prov, fk)
 	r := minones.Minimize(b.NumVars, b.Clauses, counted, p.solverOpts())
 	stats.SolverTime = time.Since(t0)
 	stats.ModelsTried = r.ModelsTried
@@ -303,69 +243,50 @@ func OptSigma(p Problem) (*Counterexample, *Stats, error) {
 		}
 		return nil, nil, fmt.Errorf("core: solver budget exhausted before any model of the witness formula was found")
 	}
-	ids := modelToIDs(r.Model, counted, varToID)
-	sub, tids := subinstanceFromIDs(p.DB, ids)
-	ce := &Counterexample{DB: sub, IDs: tids, Witness: t}
-	stats.WitnessSize = ce.Size()
-	stats.TotalTime = time.Since(start)
-	if err := Verify(p, ce); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: OptSigma produced an invalid counterexample: %v", err)
-	}
-	return ce, stats, nil
+	return p.finish(stats, start, modelToIDs(r.Model, counted, varToID), t)
 }
 
 // OptSigmaAll solves SCP exactly with the optimizing solver: it minimizes
 // the witness of every tuple in the symmetric difference (each with
 // selection pushdown) and returns the global optimum. This is the
 // "solver-opt-all" series of Figure 4 — more expensive than OptSigma but,
-// unlike it, guaranteed to reach the smallest counterexample overall.
+// unlike it, guaranteed to reach the smallest counterexample overall. Stats
+// report Optimal when every tuple's minimization was proven.
 func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "OptSigmaAll"}
 	start := time.Now()
-	if err := p.interrupted(); err != nil {
-		return nil, nil, err
-	}
-
-	t0 := time.Now()
-	differs, d12, d21, err := p.disagrees(p.DB)
+	d12, d21, err := p.baseDiff(stats)
 	if err != nil {
-		return nil, nil, err
-	}
-	stats.RawEvalTime = time.Since(t0)
-	if !differs {
-		return nil, nil, ErrQueriesAgree
-	}
-	if err := p.interrupted(); err != nil {
 		return nil, nil, err
 	}
 	// Flatten the per-side, per-tuple iteration space and fan it out over
 	// the worker pool: every task pushes its tuple's selection down,
 	// evaluates provenance, and runs its own optimizing solver against the
-	// shared read-only database. ProvEvalTime/SolverTime are accumulated
-	// per task and merged, so they report aggregate work across workers and
-	// may exceed the wall-clock TotalTime when the pool is parallel.
-	fks := p.ForeignKeys()
+	// shared read-only database and FK index. ProvEvalTime/SolverTime are
+	// accumulated per task and merged, so they report aggregate work across
+	// workers and may exceed the wall-clock TotalTime when the pool is
+	// parallel.
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
+	if err != nil {
+		return nil, nil, err
+	}
 	type task struct {
-		qa, qb ra.Node
-		t      relation.Tuple
+		q ra.Node
+		t relation.Tuple
 	}
 	var tasks []task
 	for _, s := range []struct {
-		qa, qb ra.Node
-		diff   *relation.Relation
-	}{{p.Q1, p.Q2, d12}, {p.Q2, p.Q1, d21}} {
+		q    ra.Node
+		diff *relation.Relation
+	}{{&ra.Diff{L: p.Q1, R: p.Q2}, d12}, {&ra.Diff{L: p.Q2, R: p.Q1}, d21}} {
 		for _, t := range s.diff.Tuples {
-			tasks = append(tasks, task{s.qa, s.qb, t})
+			tasks = append(tasks, task{s.q, t})
 		}
 	}
 	type solveResult struct {
 		ids         []int
 		found       bool
+		status      minones.Status
 		modelsTried int
 		prov, solve time.Duration
 	}
@@ -376,30 +297,23 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 		}
 		tk := tasks[i]
 		res := &results[i]
+		res.status = minones.Infeasible
 		t0 := time.Now()
-		pushed := PushDownTupleSelection(&ra.Diff{L: tk.qa, R: tk.qb}, tk.t, p.DB)
-		ann, err := engine.EvalProvOpts(pushed, p.DB, p.Params, p.engineOpts())
-		if err != nil {
-			return err
-		}
-		j := ann.Lookup(tk.t)
+		prov, err := p.pushedProv(tk.q, tk.t)
 		res.prov = time.Since(t0)
-		if j < 0 {
-			return nil
+		if err != nil || prov == nil {
+			return err
 		}
 		t0 = time.Now()
-		b, counted, varToID, err := buildCNF(ann.Anns[j], p.DB, fks)
-		if err != nil {
-			return err
-		}
+		b, counted, varToID := buildCNF(prov, fk)
 		r := minones.Minimize(b.NumVars, b.Clauses, counted, p.solverOpts())
 		res.solve = time.Since(t0)
 		res.modelsTried = r.ModelsTried
-		if r.Status == minones.Infeasible || r.Status == minones.Unknown {
-			return nil
+		res.status = r.Status
+		if r.Status == minones.Optimal || r.Status == minones.Feasible {
+			res.ids = modelToIDs(r.Model, counted, varToID)
+			res.found = true
 		}
-		res.ids = modelToIDs(r.Model, counted, varToID)
-		res.found = true
 		return nil
 	})
 	if err != nil {
@@ -407,10 +321,14 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 	}
 	// As in Basic: choose by id-set size first, build one database.
 	bestIdx := -1
+	stats.Optimal = true
 	for i, res := range results {
 		stats.ProvEvalTime += res.prov
 		stats.SolverTime += res.solve
 		stats.ModelsTried += res.modelsTried
+		if res.status != minones.Optimal && res.status != minones.Infeasible {
+			stats.Optimal = false
+		}
 		if !res.found {
 			continue
 		}
@@ -418,26 +336,13 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 			bestIdx = i
 		}
 	}
-	stats.TotalTime = time.Since(start)
 	if bestIdx < 0 {
 		if err := p.interrupted(); err != nil {
 			return nil, nil, err
 		}
 		return nil, nil, fmt.Errorf("core: no satisfiable witness found")
 	}
-	sub, tids := subinstanceFromIDs(p.DB, results[bestIdx].ids)
-	best := &Counterexample{DB: sub, IDs: tids, Witness: tasks[bestIdx].t}
-	stats.WitnessSize = best.Size()
-	stats.Optimal = true
-	if err := Verify(p, best); err != nil {
-		// A budget expiry during the final verification is a budget
-		// failure, not an algorithm bug.
-		if errors.Is(err, ErrBudget) {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("core: OptSigmaAll produced an invalid counterexample: %v", err)
-	}
-	return best, stats, nil
+	return p.finish(stats, start, results[bestIdx].ids, tasks[bestIdx].t)
 }
 
 // SolveWitnessStrategy exposes the Figure 5 experiment's strategies on a
@@ -445,33 +350,20 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 // "naive-M" enumerates up to M models. It returns the witness size and the
 // models tried.
 func SolveWitnessStrategy(p Problem, strategy string, m int) (int, int, error) {
-	_, d12, d21, err := Disagrees(p.Q1, p.Q2, p.DB, p.Params)
+	d12, d21, err := p.baseDiff(nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	qa, qb := p.Q1, p.Q2
-	diff := d12
-	if diff.Len() == 0 {
-		qa, qb = p.Q2, p.Q1
-		diff = d21
-	}
-	if diff.Len() == 0 {
-		return 0, 0, ErrQueriesAgree
-	}
-	t := diff.Tuples[0]
-	pushed := PushDownTupleSelection(&ra.Diff{L: qa, R: qb}, t, p.DB)
-	ann, err := engine.EvalProv(pushed, p.DB, p.Params)
+	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
+	prov, err := p.witnessProv(&ra.Diff{L: qa, R: qb}, t)
 	if err != nil {
 		return 0, 0, err
 	}
-	i := ann.Lookup(t)
-	if i < 0 {
-		return 0, 0, fmt.Errorf("core: tuple missing after pushdown")
-	}
-	b, counted, _, err := buildCNF(ann.Anns[i], p.DB, p.ForeignKeys())
+	fk, err := newFKIndex(p.DB, p.ForeignKeys())
 	if err != nil {
 		return 0, 0, err
 	}
+	b, counted, _ := buildCNF(prov, fk)
 	var r minones.Result
 	if strategy == "opt" {
 		r = minones.Minimize(b.NumVars, b.Clauses, counted, p.solverOpts())

@@ -118,7 +118,7 @@ func Minimize(numVars int, clauses [][]int, counted []int, opt Options) Result {
 	tried := 1
 
 	if bestCost > 0 && len(counted) > 1 {
-		outs := addTotalizer(s, counted)
+		outs := addTotalizer(s, counted, bestCost)
 		for bestCost > 0 {
 			// Require fewer than bestCost counted ones: outs[k-1] means
 			// "at least k true", so forbid outs[bestCost-1].
@@ -216,7 +216,7 @@ func EnumerateAtCost(numVars int, clauses [][]int, counted []int, cost, maxModel
 		}
 	}
 	if cost < len(counted) && len(counted) > 1 {
-		outs := addTotalizer(s, counted)
+		outs := addTotalizer(s, counted, cost+1)
 		if cost < len(outs) {
 			// Forbid "at least cost+1 true".
 			if err := s.AddClause(-outs[cost]); err != nil {
@@ -257,32 +257,36 @@ func snapshot(s *sat.Solver, numVars int) Model {
 }
 
 // addTotalizer builds a totalizer (Bailleux–Boudaoud) over the given
-// variables and returns output variables outs where outs[k-1] is implied
-// whenever at least k of the inputs are true. Only the input→output
-// direction is encoded, which suffices for at-most-k enforcement via unit
-// clauses ¬outs[k-1].
-func addTotalizer(s *sat.Solver, vars []int) []int {
+// variables, with its outputs capped at k: it returns outs (len ≤ k) where
+// outs[j-1] is implied whenever at least j of the inputs are true. Only the
+// input→output direction is encoded, which suffices for at-most-(j-1)
+// enforcement via unit clauses ¬outs[j-1]. The cap keeps the encoding at
+// O(n·k) clauses instead of O(n²): the descents only ever forbid counts up
+// to the first model's cost.
+func addTotalizer(s *sat.Solver, vars []int, k int) []int {
 	lits := make([]int, len(vars))
 	copy(lits, vars)
 	sort.Ints(lits)
-	return buildTot(s, lits)
+	return buildTot(s, lits, k)
 }
 
-func buildTot(s *sat.Solver, lits []int) []int {
+func buildTot(s *sat.Solver, lits []int, k int) []int {
 	if len(lits) == 1 {
 		return []int{lits[0]}
 	}
 	mid := len(lits) / 2
-	a := buildTot(s, lits[:mid])
-	b := buildTot(s, lits[mid:])
-	n := len(a) + len(b)
+	a := buildTot(s, lits[:mid], k)
+	b := buildTot(s, lits[mid:], k)
+	n := min(len(a)+len(b), k)
 	out := make([]int, n)
 	for i := range out {
 		out[i] = s.NewVar()
 	}
-	// a_i ∧ b_j → out_{i+j} for i+j >= 1, with a_0 = b_0 = true implicit.
+	// a_i ∧ b_j → out_{i+j} for 1 <= i+j <= n, with a_0 = b_0 = true
+	// implicit. Sums beyond the cap need no clause of their own: they
+	// imply a pair with i+j = n, which already forces out_n.
 	for i := 0; i <= len(a); i++ {
-		for j := 0; j <= len(b); j++ {
+		for j := 0; j <= len(b) && i+j <= n; j++ {
 			if i+j == 0 {
 				continue
 			}

@@ -326,3 +326,30 @@ func TestUndefComparisonsAreFalse(t *testing.T) {
 		t.Error("50 != 10 should be true")
 	}
 }
+
+// The search polls its stop hook on every node, so a hook that turns true on
+// its k-th call ends the search within k nodes.
+func TestSolveStopEndsSearchWithinKNodes(t *testing.T) {
+	kids := make([]*boolexpr.Expr, 24)
+	for i := range kids {
+		kids[i] = boolexpr.And(v(2*i+1), v(2*i+2))
+	}
+	f := &FProv{E: boolexpr.And(boolexpr.Or(kids[:12]...), boolexpr.Or(kids[12:]...))}
+	if r := Solve(Problem{Formula: f}); r.Nodes < 2048 {
+		t.Fatalf("formula too easy for this test: %d nodes", r.Nodes)
+	}
+	for _, k := range []int64{1, 2, 5, 100, 1500} {
+		var calls int64
+		stop := func() bool {
+			calls++
+			return calls >= k
+		}
+		r := Solve(Problem{Formula: f, Stop: stop})
+		if r.Nodes > k {
+			t.Errorf("k=%d: search ran %d nodes after the stop hook fired", k, r.Nodes)
+		}
+		if r.Status == Optimal || r.Status == Infeasible {
+			t.Errorf("k=%d: stopped search reported %v", k, r.Status)
+		}
+	}
+}

@@ -130,8 +130,7 @@ func Solve(p Problem) Result {
 			break
 		}
 		// A fired Stop hook is permanent (deadlines don't un-expire):
-		// don't start the remaining parameter combos just to have each
-		// burn ~a poll stride of nodes before noticing.
+		// don't start the remaining parameter combos.
 		if p.Stop != nil && p.Stop() {
 			complete = false
 			break
@@ -184,10 +183,11 @@ func (s *searcher) search(i, cost int) {
 		s.budgetHit = true
 		return
 	}
-	// Poll the caller's stop hook on a node stride (same Unknown/Feasible
-	// reporting as the node budget, so deadline aborts are never mistaken
-	// for infeasibility proofs).
-	if s.stop != nil && s.nodes%1024 == 0 && s.stop() {
+	// Poll the caller's stop hook on every node: a node re-evaluates the
+	// whole formula, which costs far more than the poll (same
+	// Unknown/Feasible reporting as the node budget, so deadline aborts are
+	// never mistaken for infeasibility proofs).
+	if s.stop != nil && s.stop() {
 		s.budgetHit = true
 		return
 	}

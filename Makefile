@@ -6,7 +6,7 @@ GO ?= go
 # touches a ratestlint installed elsewhere.
 RATESTLINT := $(CURDIR)/bin/ratestlint
 
-.PHONY: all lint test race bench-smoke fmt
+.PHONY: all lint test race fuzz bench-smoke fmt
 
 all: lint test
 
@@ -32,6 +32,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Ten seconds of the shared-evaluation fuzz target, as CI runs it. A failing
+# input lands in internal/engine/testdata/fuzz/FuzzSharedEval/; keep it
+# there as a regression entry.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzSharedEval$$' -fuzztime 10s ./internal/engine/
 
 # One iteration of the batch, delta, planner, IVM and session benchmarks:
 # compile-and-run smoke plus their embedded equivalence guards.

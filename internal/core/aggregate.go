@@ -459,7 +459,7 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		// aggregate algorithm.
 		ce, st, err := AggBasic(p, opts)
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: AggOpt fallback to AggBasic failed: %v", err)
+			return nil, nil, fmt.Errorf("core: AggOpt fallback to AggBasic failed: %w", err)
 		}
 		// The fallback's Stats cover the whole call: Agg-Opt's own inner
 		// evaluation counts as raw evaluation, and the total runs from

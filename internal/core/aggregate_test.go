@@ -1,16 +1,22 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/boolexpr"
 	"repro/internal/minones"
+	"repro/internal/mutation"
+	"repro/internal/ra"
 	"repro/internal/raparser"
 	"repro/internal/relation"
 	"repro/internal/sat"
 	"repro/internal/testdb"
+	"repro/internal/tpch"
 )
 
 func TestAggBasicExample4(t *testing.T) {
@@ -158,6 +164,35 @@ func TestAggOptFallbackStats(t *testing.T) {
 	if parts := st.RawEvalTime + st.ProvEvalTime + st.SolverTime; parts > st.TotalTime || st.TotalTime > wall {
 		t.Errorf("raw %v + prov %v + solver %v = %v, total %v, wall %v: want parts ≤ total ≤ wall",
 			st.RawEvalTime, st.ProvEvalTime, st.SolverTime, parts, st.TotalTime, wall)
+	}
+}
+
+// TestAggOptFallbackBudget: a fallback to Agg-Basic that runs out of budget
+// still reports the budget. Q21-S's "comparison >= changed to <=" mutant
+// agrees with the reference before aggregation, so Agg-Opt falls back, and
+// Agg-Basic does not finish on it within the deadline.
+func TestAggOptFallbackBudget(t *testing.T) {
+	qs := tpch.Q21S()
+	var wrong ra.Node
+	for _, m := range mutation.Mutants(qs.Correct) {
+		if m.Desc == "comparison >= changed to <=" {
+			wrong = m.Query
+			break
+		}
+	}
+	if wrong == nil {
+		t.Fatal("Q21-S has no \"comparison >= changed to <=\" mutant")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	p := Problem{Q1: qs.Correct, Q2: wrong, DB: tpch.Generate(0.0005, 1),
+		Constraints: tpch.Constraints(), Ctx: ctx}
+	_, _, err := AggOpt(p, AggOptions{})
+	if err == nil || !strings.Contains(err.Error(), "fallback") {
+		t.Fatalf("got %v, want the fallback to Agg-Basic to fail", err)
+	}
+	if !errors.Is(err, ErrBudget) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("fallback error %v does not wrap ErrBudget and context.DeadlineExceeded", err)
 	}
 }
 

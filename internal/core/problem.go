@@ -176,11 +176,7 @@ func Verify(p Problem, ce *Counterexample) error {
 	if ce.Q1 != nil && ce.Q2 != nil {
 		q1, q2 = ce.Q1, ce.Q2
 	}
-	r1, err := engine.EvalOpts(q1, ce.DB, params, p.engineOpts())
-	if err != nil {
-		return err
-	}
-	r2, err := engine.EvalOpts(q2, ce.DB, params, p.engineOpts())
+	r1, r2, err := engine.EvalPair(q1, q2, ce.DB, params, p.engineOpts())
 	if err != nil {
 		return err
 	}
@@ -197,11 +193,7 @@ func Disagrees(q1, q2 ra.Node, db *relation.Database, params map[string]relation
 }
 
 func disagreesOpts(q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts engine.Options) (bool, *relation.Relation, *relation.Relation, error) {
-	r1, err := engine.EvalOpts(q1, db, params, opts)
-	if err != nil {
-		return false, nil, nil, err
-	}
-	r2, err := engine.EvalOpts(q2, db, params, opts)
+	r1, r2, err := engine.EvalPair(q1, q2, db, params, opts)
 	if err != nil {
 		return false, nil, nil, err
 	}

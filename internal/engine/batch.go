@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
 	"repro/internal/ra"
 	"repro/internal/relation"
 )
@@ -118,45 +116,25 @@ func EvalBatch(q ra.Node, db *relation.Database, params map[string]relation.Valu
 	return assembleWide(rel, k), nil
 }
 
-// evalPairDiffs evaluates q1 and q2 once each in a shared exec (base scans
-// and their Leaf annotations are computed once for both queries) and
-// returns the two physical differences q1 − q2 and q2 − q1.
+// evalPairDiffs evaluates q1 and q2 in one exec (the subtrees they share,
+// base scans included, are evaluated once for both) and returns the two
+// physical differences q1 − q2 and q2 − q1.
 func evalPairDiffs[T any](s Semiring[T], q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (*Rel[T], *Rel[T], error) {
-	e := newExec(s, db, params, opts)
-	if !opts.NoOptimize {
-		cat := Catalog{DB: db}
-		q1 = Optimize(q1, cat)
-		q2 = Optimize(q2, cat)
-	}
-	if !opts.NoPlan {
-		var err error
-		if q1, err = planWith(q1, db, opts, true); err != nil {
-			return nil, nil, err
-		}
-		if q2, err = planWith(q2, db, opts, true); err != nil {
-			return nil, nil, err
-		}
-	}
-	e.markShared(q1)
-	e.markShared(q2)
-	r1, err := e.node(q1)
+	qs, err := prepare([]ra.Node{q1, q2}, db, opts, true, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	r2, err := e.node(q2)
+	ds, err := newExec(s, db, params, opts).run(&ra.Diff{L: qs[0], R: qs[1]}, &ra.Diff{L: qs[1], R: qs[0]})
 	if err != nil {
 		return nil, nil, err
 	}
-	if !r1.Schema.UnionCompatible(r2.Schema) {
-		return nil, nil, fmt.Errorf("engine: difference of incompatible schemas %s, %s", r1.Schema, r2.Schema)
-	}
-	return e.diff(r1, r2), e.diff(r2, r1), nil
+	return ds[0], ds[1], nil
 }
 
 // EvalBatchDiffs answers, for each candidate subinstance, which tuples
 // Q1 − Q2 and Q2 − Q1 produce on it. It is EvalBatch for both difference
 // directions at once, sharing the query evaluations: Q1 and Q2 are each
-// evaluated a single time (with base scans shared between them) instead of
+// evaluated a single time (with their common subtrees shared) instead of
 // twice as two independent &ra.Diff plans would. This is the engine half of
 // the batched Verify: candidate k is a counterexample iff either direction
 // is nonempty at bit k.

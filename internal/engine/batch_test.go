@@ -127,14 +127,14 @@ func TestDifferentialBatchDiffs(t *testing.T) {
 	}
 }
 
-// TestScanCacheSelfJoin: the per-exec base-scan cache returns the same
-// relation object for repeated references without corrupting self-joins or
-// self-differences.
+// TestScanCacheSelfJoin: a relation referenced twice is one shared node of
+// the prepared plan, scanned once, and sharing its result does not corrupt
+// self-joins or self-differences.
 func TestScanCacheSelfJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	db := randomDB(rng)
 	// R ⋈ R (self natural join on all columns ≡ R), R − R (empty), and
-	// (R ∪ R) ≡ R, all referencing the same cached scan.
+	// (R ∪ R) ≡ R, all reading the same shared scan.
 	r, err := Eval(&ra.Rel{Name: "R"}, db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestScanCacheSelfJoin(t *testing.T) {
 		}
 	}
 	if !sameKeySets(keySet(nullFree), keySet(selfJoin.Tuples)) {
-		t.Errorf("R ⋈ R ≠ NULL-free R under the scan cache")
+		t.Errorf("R ⋈ R ≠ NULL-free R with the shared scan")
 	}
 	selfDiff, err := Eval(&ra.Diff{L: &ra.Rel{Name: "R"}, R: &ra.Rel{Name: "R"}}, db, nil)
 	if err != nil {
@@ -166,7 +166,7 @@ func TestScanCacheSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !sameKeySets(keySet(r.Tuples), keySet(selfUnion.Tuples)) {
-		t.Errorf("R ∪ R ≠ R under the scan cache")
+		t.Errorf("R ∪ R ≠ R with the shared scan")
 	}
 }
 

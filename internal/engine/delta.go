@@ -132,7 +132,7 @@ func (p *PreparedDiff) ApplyDelta(removed []relation.TupleID, inserted []Insert)
 	opts.Observer = nil // the planner's cardinalities are the base evaluation's
 	c.e = &exec[Count]{
 		s: zsum, db: p.db, params: p.params, opts: opts,
-		scans: map[string]*Rel[Count]{}, memo: make(map[ra.Node]*Rel[Count], len(p.state)),
+		memo:   make(map[ra.Node]*Rel[Count], len(p.state)),
 		retain: true, order: make([]ra.Node, 0, len(p.state)), plans: p.plans, delta: c.rule,
 	}
 	d12, err := c.e.node(p.top12)
@@ -213,22 +213,18 @@ func (c *deltaCtx) rule(q ra.Node) (*Rel[Count], bool, error) {
 }
 
 // scan turns the update into count changes of one base relation: −1 per
-// removed tuple, +1 per inserted one. Scans of the same relation share it.
+// removed tuple, +1 per inserted one.
 func (c *deltaCtx) scan(x *ra.Rel, st *nodeState) *Rel[Count] {
-	if d, ok := c.e.scans[x.Name]; ok {
-		return d
+	if len(c.removed[x.Name]) == 0 && len(c.inserted[x.Name]) == 0 {
+		return st.none
 	}
-	d := st.none
-	if len(c.removed[x.Name]) > 0 || len(c.inserted[x.Name]) > 0 {
-		d = NewRel[Count](st.out.Schema)
-		for _, t := range c.removed[x.Name] {
-			d.Add(zsum, t, -1)
-		}
-		for _, t := range c.inserted[x.Name] {
-			d.Add(zsum, t, 1)
-		}
+	d := NewRel[Count](st.out.Schema)
+	for _, t := range c.removed[x.Name] {
+		d.Add(zsum, t, -1)
 	}
-	c.e.scans[x.Name] = d
+	for _, t := range c.inserted[x.Name] {
+		d.Add(zsum, t, 1)
+	}
 	return d
 }
 

@@ -25,13 +25,26 @@
 // Invariant: operators never mutate their inputs, so relations — including
 // the caller's database — may be shared across concurrent evaluations.
 //
+// # Shared subexpressions
+//
+// Every entry point — [RunOpts] and the functions built on it, [EvalPair],
+// [EvalBatchDiffs] and [PrepareDiff] — optimizes and plans its roots and
+// then hash-conses them together: nodes with the same operator, payload and
+// children become one node, so one call's roots form one plan DAG. A
+// subquery a query repeats, a base relation it scans twice, and everything
+// Q1 and Q2 have in common are evaluated once; the exec keeps a shared
+// node's result until its last reader has taken it. Under [Why] only base
+// relations are merged: its annotations are expression DAGs whose sharing
+// the CNF encoding of a witness search can see. A planned join merged into
+// an equal one reports the shared node's cardinality to [Options].Observer.
+//
 // # Batched evaluation
 //
 // [EvalBatch] evaluates one query over K candidate subinstances of the same
 // database in a single pass: bit k of every annotation replays the
 // set-semantics evaluation on candidate k (⊕ = OR, ⊗ = AND, Minus = AND
 // NOT), with definite-zero annotations pruned at scans and join emits.
-// [EvalBatchDiffs] does both directions of Q1 − Q2 with shared base scans.
+// [EvalBatchDiffs] does both directions of Q1 − Q2 in one pass.
 // Plans containing γ fail with an error wrapping [ErrNoAggregates]
 // (aggregation is not per-bit sound); callers detect it with errors.Is and
 // fall back to per-candidate evaluation.

@@ -140,19 +140,11 @@ func Run[T any](s Semiring[T], q ra.Node, db *relation.Database, params map[stri
 // RunOpts is Run with explicit evaluation options.
 func RunOpts[T any](s Semiring[T], q ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (*Rel[T], error) {
 	faults.Inject(faults.EngineEval)
-	e := newExec(s, db, params, opts)
-	if !opts.NoOptimize {
-		q = Optimize(q, Catalog{DB: db})
+	rs, err := runRoots(s, []ra.Node{q}, db, params, opts)
+	if err != nil {
+		return nil, err
 	}
-	if !opts.NoPlan {
-		var err error
-		q, err = planWith(q, db, opts, true)
-		if err != nil {
-			return nil, err
-		}
-	}
-	e.markShared(q)
-	return e.node(q)
+	return rs[0], nil
 }
 
 // exec carries the per-query evaluation state.
@@ -161,17 +153,13 @@ type exec[T any] struct {
 	db     *relation.Database
 	params map[string]relation.Value
 	opts   Options
-	// scans caches base-relation scan results by name: a plan (or a pair of
-	// plans sharing one exec, as in the batch layer) referencing the same
-	// relation twice — self-joins, Q and its copy inside Q1 − Q2 — pays for
-	// the scan, the Leaf annotations and the dedup hashing once. Safe
-	// because operators never mutate their inputs.
-	scans map[string]*Rel[T]
-	// refs counts how many parents reference each node (>1 only in the
-	// DAG-shaped plans the Yannakakis reducer emits, where a fully-reduced
-	// parent appears in every child's semi-join chain); memo caches results
-	// of exactly those shared nodes, so a DAG evaluates each node once
-	// without pinning every intermediate of a tree-shaped plan in memory.
+	// refs counts how many parents (and roots) reference each node of the
+	// prepared DAG: more than one for a subtree the roots share, a base
+	// relation scanned twice, or a Yannakakis-reduced input that appears in
+	// several semi-join chains. memo caches the results of exactly those
+	// shared nodes until their last reader has taken them, so each is
+	// evaluated once without pinning every intermediate of the plan in
+	// memory. Safe because operators never mutate their inputs.
 	refs map[ra.Node]int
 	memo map[ra.Node]*Rel[T]
 	// retain memoizes every node's result, not only the shared ones, and
@@ -192,7 +180,7 @@ type exec[T any] struct {
 }
 
 func newExec[T any](s Semiring[T], db *relation.Database, params map[string]relation.Value, opts Options) *exec[T] {
-	return &exec[T]{s: s, db: db, params: params, opts: opts, scans: map[string]*Rel[T]{},
+	return &exec[T]{s: s, db: db, params: params, opts: opts,
 		refs: map[ra.Node]int{}, memo: map[ra.Node]*Rel[T]{}}
 }
 
@@ -207,22 +195,28 @@ func (e *exec[T]) markShared(q ra.Node) {
 	}
 }
 
+// node returns q's result. Outside retained mode a shared node's result
+// stays in the memo until the last of its refs readers has read it.
 func (e *exec[T]) node(q ra.Node) (*Rel[T], error) {
-	keep := e.retain || e.refs[q] > 1
-	if keep {
-		if r, ok := e.memo[q]; ok {
-			return r, nil
+	if r, ok := e.memo[q]; ok {
+		if !e.retain {
+			if e.refs[q]--; e.refs[q] == 0 {
+				delete(e.memo, q)
+			}
 		}
+		return r, nil
 	}
 	r, err := e.eval(q)
 	if err != nil {
 		return nil, err
 	}
-	if keep {
+	switch {
+	case e.retain:
 		e.memo[q] = r
-		if e.retain {
-			e.order = append(e.order, q)
-		}
+		e.order = append(e.order, q)
+	case e.refs[q] > 1:
+		e.refs[q]--
+		e.memo[q] = r
 	}
 	return r, nil
 }
@@ -337,11 +331,9 @@ func renameRel[T any](in *Rel[T], as string) *Rel[T] {
 // definitely zero are pruned at the scan: under the bitvector batch
 // semirings that shrinks the scan from the full database to the union of
 // the candidate subinstances (set, counting and why leaves are never zero,
-// so nothing changes for them).
+// so nothing changes for them). A relation scanned twice is one shared
+// node of the prepared DAG, so the memo scans it once.
 func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
-	if cached, ok := e.scans[x.Name]; ok {
-		return cached, nil
-	}
 	r := e.db.Relation(x.Name)
 	if r == nil {
 		return nil, fmt.Errorf("engine: unknown relation %q", x.Name)
@@ -357,7 +349,6 @@ func (e *exec[T]) base(x *ra.Rel) (*Rel[T], error) {
 		}
 		out.Add(e.s, t, ann)
 	}
-	e.scans[x.Name] = out
 	return out, nil
 }
 

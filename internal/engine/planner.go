@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"repro/internal/ra"
@@ -59,7 +60,9 @@ const (
 type PlanReport struct {
 	Regions []*RegionReport
 
-	byNode map[ra.Node]*JoinReport
+	// byNode finds a join's reports by its planned node. A node the
+	// evaluation shares carries the reports of every copy merged into it.
+	byNode map[ra.Node][]*JoinReport
 }
 
 // RegionReport describes one join region.
@@ -96,17 +99,31 @@ type JoinReport struct {
 
 func (r *PlanReport) noteJoin(n ra.Node, jr *JoinReport) {
 	if r.byNode == nil {
-		r.byNode = map[ra.Node]*JoinReport{}
+		r.byNode = map[ra.Node][]*JoinReport{}
 	}
-	r.byNode[n] = jr
+	r.byNode[n] = append(r.byNode[n], jr)
+}
+
+// alias lets the node that replaces a planned node in the evaluated DAG
+// fill in that node's reports too. The planned node keeps them, so a tree
+// evaluated again under the same report is filled in again.
+func (r *PlanReport) alias(from, to ra.Node) {
+	if r == nil {
+		return
+	}
+	for _, jr := range r.byNode[from] {
+		if !slices.Contains(r.byNode[to], jr) {
+			r.byNode[to] = append(r.byNode[to], jr)
+		}
+	}
 }
 
 // observe records an executed join node's actual output cardinality.
 func (r *PlanReport) observe(n ra.Node, rows int) {
-	if r == nil || r.byNode == nil {
+	if r == nil {
 		return
 	}
-	if jr, ok := r.byNode[n]; ok {
+	for _, jr := range r.byNode[n] {
 		jr.ActualRows = int64(rows)
 	}
 }

@@ -10,8 +10,9 @@ import (
 
 // This file is the delta-incremental evaluation subsystem. PrepareDiff
 // evaluates Q1 − Q2 and Q2 − Q1 once on the full database, in one exec under
-// the counting semiring in retained mode: the exec keeps every plan node's
-// output (base scans are shared between the queries by relation name).
+// the counting semiring in retained mode: the exec keeps the output of every
+// node of the prepared DAG, where the two queries' equal subtrees are one
+// node.
 // PreparedDiff.ApplyDelta (delta.go) then answers "what do Q1 − Q2 and
 // Q2 − Q1 look like after this update" — deletions, insertions, and updates
 // expressed as delete+insert — by running the same plan again under zsum,
@@ -136,9 +137,8 @@ type PreparedDiff struct {
 	params map[string]relation.Value
 	opts   Options
 	// top12 and top21 are the two difference directions as plan nodes over
-	// the planned queries; state holds every plan node's retained state, and
-	// nodes lists the nodes with distinct retained outputs (scans of one
-	// relation share theirs) children before parents.
+	// the prepared queries; state holds every plan node's retained state, and
+	// nodes lists the nodes children before parents.
 	top12, top21 *ra.Diff
 	state        map[ra.Node]*nodeState
 	plans        map[ra.Node]any
@@ -178,56 +178,37 @@ func (st *nodeState) commit(d *Rel[Count], rows []groupChange) {
 }
 
 // PrepareDiff evaluates q1 and q2 once on db under the counting semiring
-// (sharing base scans between the two queries) and retains every operator's
-// output for ApplyDelta. It returns ErrNotIncremental (wrapped) when the
-// retained state cannot support delta arithmetic; other errors mirror a
-// full evaluation's (unknown relations, row budget, incompatible schemas).
+// (their equal subtrees once for both) and retains every operator's output
+// for ApplyDelta. It returns ErrNotIncremental (wrapped) when the retained
+// state cannot support delta arithmetic; other errors mirror a full
+// evaluation's (unknown relations, row budget, incompatible schemas).
 func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (*PreparedDiff, error) {
-	cat := Catalog{DB: db}
-	if !opts.NoOptimize {
-		q1 = Optimize(q1, cat)
-		q2 = Optimize(q2, cat)
-	}
-	if !opts.NoPlan {
-		// Join reordering is shared with the one-shot path, but the
-		// Yannakakis semi-join pass is not: a deletion elsewhere can turn a
-		// retained tuple dangling, so a semi-join-reduced retained state
-		// cannot be maintained by local deltas.
-		var err error
-		if q1, err = planWith(q1, db, opts, false); err != nil {
-			return nil, err
-		}
-		if q2, err = planWith(q2, db, opts, false); err != nil {
-			return nil, err
-		}
+	// Join reordering is shared with the one-shot path, but the Yannakakis
+	// semi-join pass is not: a deletion elsewhere can turn a retained tuple
+	// dangling, so a semi-join-reduced retained state cannot be maintained
+	// by local deltas.
+	qs, err := prepare([]ra.Node{q1, q2}, db, opts, false, false)
+	if err != nil {
+		return nil, err
 	}
 	e := newExec[Count](Counting, db, params, opts)
 	e.retain = true
 	e.plans = map[ra.Node]any{}
 	p := &PreparedDiff{
 		db: db, params: params, opts: opts,
-		top12: &ra.Diff{L: q1, R: q2}, top21: &ra.Diff{L: q2, R: q1},
+		top12: &ra.Diff{L: qs[0], R: qs[1]}, top21: &ra.Diff{L: qs[1], R: qs[0]},
 		state:   make(map[ra.Node]*nodeState),
 		removed: map[relation.TupleID]bool{}, liveSize: db.Size(),
 	}
-	d12, err := e.node(p.top12)
+	ds, err := e.run(p.top12, p.top21)
 	if err != nil {
 		return nil, err
 	}
-	d21, err := e.node(p.top21)
-	if err != nil {
-		return nil, err
-	}
-	byOut := map[*Rel[Count]]*nodeState{}
 	for _, n := range e.order {
 		if _, ok := n.(*ra.Semi); ok {
 			return nil, fmt.Errorf("%w: semi-join reduced plan", ErrNotIncremental)
 		}
 		out := e.memo[n]
-		if st, ok := byOut[out]; ok {
-			p.state[n] = st
-			continue
-		}
 		// Oversized derivation counts would make the signed delta
 		// arithmetic unsound: saturation is not invertible, and delta
 		// products of counts near the int64 range overflow silently.
@@ -240,11 +221,11 @@ func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relati
 		}
 		st := &nodeState{out: out, inputs: n.Children(), none: NewRel[Count](out.Schema)}
 		st.join, _ = e.plans[n].(*joinIndex)
-		byOut[out], p.state[n] = st, st
+		p.state[n] = st
 		p.nodes = append(p.nodes, n)
 	}
 	p.plans = e.plans
-	p.live12, p.live21 = d12.Len(), d21.Len()
+	p.live12, p.live21 = ds[0].Len(), ds[1].Len()
 	return p, nil
 }
 

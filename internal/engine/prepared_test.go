@@ -244,9 +244,9 @@ func TestPreparedDiffStaleCommit(t *testing.T) {
 
 // TestPreparedDiffInterleavedWithBatch: uncommitted ApplyDelta results and
 // batch-layer evaluations of the same (Q1, Q2, D) never share state — the
-// prepared base-scan cache must stay valid across interleaved EvalBatchDiffs
-// calls (regression guard for the witness loops, where one enumeration mixes
-// both paths).
+// prepared state must stay valid across interleaved EvalBatchDiffs calls
+// (regression guard for the witness loops, where one enumeration mixes both
+// paths).
 func TestPreparedDiffInterleavedWithBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {

@@ -192,6 +192,7 @@ func EnumerateSmallest(q1, q2 Query, db *Database, opts *Options, max int) ([]*C
 	}
 	return core.EnumerateSmallest(core.Problem{
 		Q1: q1, Q2: q2, DB: db, Constraints: opts.Constraints, Params: opts.Params,
+		MaxConflicts: opts.MaxConflicts, MaxRows: opts.MaxRows,
 	}, max)
 }
 

@@ -2,9 +2,11 @@ package ratest
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/testdb"
 )
 
@@ -145,6 +147,25 @@ func TestExplainAlgorithms(t *testing.T) {
 	}
 	if _, _, err := Explain(q1, q2, db, &Options{Algorithm: "nope"}); err == nil {
 		t.Error("unknown algorithm should error")
+	}
+}
+
+// EnumerateSmallest runs under the same row budget as Explain: with
+// MaxRows 2 on the paper's Example 1 both fail on the budget instead of
+// EnumerateSmallest returning counterexamples.
+func TestEnumerateSmallestRowBudget(t *testing.T) {
+	db := testdb.Example1DB()
+	q1, q2 := testdb.Q1(), testdb.Q2()
+	opts := &Options{MaxRows: 2}
+	if _, _, err := Explain(q1, q2, db, opts); !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("Explain with MaxRows 2: got %v, want an error wrapping engine.ErrRowBudget", err)
+	}
+	ces, err := EnumerateSmallest(q1, q2, db, opts, 4)
+	if !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("EnumerateSmallest with MaxRows 2: got %d counterexamples, error %v; want an error wrapping engine.ErrRowBudget", len(ces), err)
+	}
+	if ces, err := EnumerateSmallest(q1, q2, db, nil, 4); err != nil || len(ces) != 4 {
+		t.Fatalf("unbudgeted EnumerateSmallest: %d counterexamples, error %v; want 4", len(ces), err)
 	}
 }
 

@@ -33,11 +33,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Ten seconds of the shared-evaluation fuzz target, as CI runs it. A failing
-# input lands in internal/engine/testdata/fuzz/FuzzSharedEval/; keep it
-# there as a regression entry.
+# Ten seconds of each fuzz target, as CI runs them. A failing input lands
+# in the package's testdata/fuzz/<target>/; keep it there as a regression
+# entry.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedEval$$' -fuzztime 10s ./internal/engine/
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/raparser/
 
 # One iteration of the batch, delta, planner, IVM and session benchmarks:
 # compile-and-run smoke plus their embedded equivalence guards.

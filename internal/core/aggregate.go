@@ -452,7 +452,7 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	inner := pp
 	inner.Q1, inner.Q2 = spec1.Inner, spec2.Inner
 
-	d12, d21, err := inner.baseDiff(stats)
+	qa, qb, t, err := inner.baseWitness(stats)
 	if errors.Is(err, ErrQueriesAgree) {
 		// The pre-aggregation queries agree; the disagreement comes from
 		// grouping or HAVING alone. Fall back to the provenance-based
@@ -472,7 +472,6 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	qa, qb, t := firstWitness(inner.Q1, inner.Q2, d12, d21)
 
 	t0 := time.Now()
 	prov, err := inner.witnessProv(&ra.Diff{L: qa, R: qb}, t)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/raparser"
+	"repro/internal/relation"
 	"repro/internal/testdb"
 )
 
@@ -89,6 +90,28 @@ func TestMaxRowsBudget(t *testing.T) {
 	p.MaxRows = 0
 	if _, _, err := Explain(p); err != nil {
 		t.Fatalf("Explain without MaxRows failed: %v", err)
+	}
+}
+
+// A Q2 whose streamed outputs all lie in Q1's result must still fail with
+// ErrRowBudget once its top join has emitted the budget's worth of pairs,
+// instead of streaming without bound: here Q1 = Q2 on D, and the cross
+// product has 400 pairs.
+func TestStreamedWitnessRowBudget(t *testing.T) {
+	db := relation.NewDatabase()
+	db.CreateRelation("R", relation.NewSchema(relation.Attr("x", relation.KindInt)))
+	db.CreateRelation("S", relation.NewSchema(relation.Attr("y", relation.KindInt)))
+	for i := 0; i < 20; i++ {
+		db.Insert("R", relation.NewTuple(relation.Int(int64(i))))
+		db.Insert("S", relation.NewTuple(relation.Int(int64(i))))
+	}
+	p := Problem{Q1: raparser.MustParse(`project[x](R)`), Q2: raparser.MustParse(`project[x](R cross S)`), DB: db, MaxRows: 100}
+	if _, _, err := OptSigma(p); !errors.Is(err, engine.ErrRowBudget) {
+		t.Fatalf("expected ErrRowBudget with MaxRows=100, got %v", err)
+	}
+	p.MaxRows = 0
+	if _, _, err := OptSigma(p); !errors.Is(err, ErrQueriesAgree) {
+		t.Fatalf("without MaxRows: got %v, want ErrQueriesAgree", err)
 	}
 }
 

@@ -37,10 +37,20 @@
 // unexported function (pipeline.go), and an algorithm differs from the
 // others only in how it solves:
 //
-//   - the base difference: one budgeted evaluation of Q1 and Q2 on D,
-//     ErrQueriesAgree when both differences are empty;
-//   - the first-witness rule of the single-witness algorithms: the first
-//     tuple of Q1 − Q2, else the first of Q2 − Q1;
+//   - the base witness of the single-witness algorithms (OptSigma, the
+//     poly-time SWP procedures, SolveWitnessStrategy, Agg-Opt's inner
+//     queries and ShrinkGreedy's no-retained-state loop): the first tuple
+//     of Q1 − Q2, else the first of Q2 − Q1, from one engine.FirstDiff.
+//     It evaluates Q1 and Q2 up to Q2's top join, probes Q1's result into
+//     that join with a hash semi-join, and streams the join only to the
+//     witness, with the streamed pairs counted against MaxRows; so an
+//     explanation costs what its witness costs, not the wrong query's
+//     whole result;
+//   - the base difference of the algorithms that need every differing
+//     tuple (Basic, OptSigmaAll, EnumerateSmallest, AggBasic): one
+//     budgeted evaluation of Q1 and Q2 on D that materializes both
+//     differences. Both base steps return ErrQueriesAgree when the queries
+//     agree on D;
 //   - a tuple's pushed-down provenance (and, for the Theorem 5 and 7
 //     procedures, the per-term count pass and monotone DNF);
 //   - the foreign-key parent index: each foreign key's child tuples mapped
@@ -55,16 +65,17 @@
 //
 // # Candidate checking
 //
-// The search algorithms take their base diffs from one plain evaluation of
-// Q1 and Q2 on D and funnel their "do Q1 and Q2 still disagree on this
-// subinstance" questions through two paths: the batched bitvector layer
-// ([DisagreeBatch] / [VerifyBatch], chunked at 256 candidates, one engine
-// pass per chunk), and per-candidate evaluation, which γ plans, row-budget
-// overruns and candidates carrying their own parameter settings fall back
-// to. The paths change cost only — accept/reject decisions are identical on
-// both. The retained-state delta evaluation (engine.PrepareDiff) serves the
-// two callers that keep state across checks: [ShrinkGreedy], which commits
-// one deletion at a time, and [LiveSession].
+// The search algorithms take their base witness or base diffs from one
+// plain evaluation on D and funnel their "do Q1 and Q2 still disagree on
+// this subinstance" questions through two paths: the batched bitvector
+// layer ([DisagreeBatch] / [VerifyBatch], chunked at 256 candidates, one
+// engine pass per chunk), and per-candidate evaluation, which γ plans,
+// row-budget overruns and candidates carrying their own parameter settings
+// fall back to. The paths change cost only — accept/reject decisions are
+// identical on both. The retained-state delta evaluation
+// (engine.PrepareDiff) serves the two callers that keep state across
+// checks: [ShrinkGreedy], which commits one deletion at a time, and
+// [LiveSession].
 //
 // Solvers live below this package: internal/sat (CDCL), internal/minones
 // (min-ones enumeration/optimization), internal/smt (symbolic aggregate

@@ -45,11 +45,10 @@ func JUStarSWP(p Problem) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "JUStar"}
 	start := time.Now()
-	d12, d21, err := p.baseDiff(stats)
+	qa, _, t, err := p.baseWitness(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	qa, _, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	// Try every union leaf containing t and keep the smallest witness.
 	t0 := time.Now()

@@ -18,10 +18,11 @@ import (
 // foreign-key implications of Section 4.3, solve, and verify. Each step is
 // written once here; the algorithms differ in how they solve.
 
-// baseDiff is the first step of every search: one plain evaluation of Q1
-// and Q2 on D between two budget polls. It returns Q1 − Q2 and Q2 − Q1, or
-// ErrQueriesAgree when both are empty, and records the evaluation as
-// RawEvalTime (stats may be nil).
+// baseDiff is the first step of the searches that need whole differences
+// (Basic, OptSigmaAll, EnumerateSmallest, Agg-Basic): one plain evaluation
+// of Q1 and Q2 on D between two budget polls. It returns Q1 − Q2 and
+// Q2 − Q1, or ErrQueriesAgree when both are empty, and records the
+// evaluation as RawEvalTime (stats may be nil).
 func (p Problem) baseDiff(stats *Stats) (d12, d21 *relation.Relation, err error) {
 	if err := p.interrupted(); err != nil {
 		return nil, nil, err
@@ -43,18 +44,47 @@ func (p Problem) baseDiff(stats *Stats) (d12, d21 *relation.Relation, err error)
 	return d12, d21, nil
 }
 
-// firstWitness is the witness rule of every single-witness algorithm: the
-// first tuple of Q1 − Q2, else the first of Q2 − Q1. It returns the tuple t
-// with the query pair oriented so that t ∈ qa − qb, and a nil tuple when
-// both differences are empty.
-func firstWitness(q1, q2 ra.Node, d12, d21 *relation.Relation) (qa, qb ra.Node, t relation.Tuple) {
+// baseWitness is the first step of every single-witness algorithm: the
+// witness rule's tuple t, the first of Q1 − Q2, else the first of Q2 − Q1,
+// with the query pair oriented so that t ∈ qa − qb. One engine.FirstDiff
+// between two budget polls finds it without materializing Q2's top join or
+// either difference. It returns ErrQueriesAgree when both differences are
+// empty and records the evaluation as RawEvalTime (stats may be nil).
+func (p Problem) baseWitness(stats *Stats) (qa, qb ra.Node, t relation.Tuple, err error) {
+	if err := p.interrupted(); err != nil {
+		return nil, nil, nil, err
+	}
+	t0 := time.Now()
+	t, inQ1, err := engine.FirstDiff(p.Q1, p.Q2, p.DB, p.Params, p.engineOpts())
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if stats != nil {
+		stats.RawEvalTime = time.Since(t0)
+	}
+	if t == nil {
+		return nil, nil, nil, ErrQueriesAgree
+	}
+	if err := p.interrupted(); err != nil {
+		return nil, nil, nil, err
+	}
+	if inQ1 {
+		return p.Q1, p.Q2, t, nil
+	}
+	return p.Q2, p.Q1, t, nil
+}
+
+// firstWitness is the witness rule over differences already materialized
+// (ShrinkGreedy's retained state and its subinstance loop): the first tuple
+// of Q1 − Q2, else the first of Q2 − Q1, or nil when both are empty.
+func firstWitness(d12, d21 *relation.Relation) relation.Tuple {
 	if d12.Len() > 0 {
-		return q1, q2, d12.Tuples[0]
+		return d12.Tuples[0]
 	}
 	if d21.Len() > 0 {
-		return q2, q1, d21.Tuples[0]
+		return d21.Tuples[0]
 	}
-	return q1, q2, nil
+	return nil
 }
 
 // pushedProv is the provenance step of Algorithm 2: push the selection on

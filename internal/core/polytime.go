@@ -28,11 +28,10 @@ func MonotoneSWP(p Problem, maxTerms int) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "MonotoneDNF"}
 	start := time.Now()
-	d12, d21, err := p.baseDiff(stats)
+	qa, _, t, err := p.baseWitness(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	qa, _, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	t0 := time.Now()
 	prov, err := p.witnessProv(qa, t)
@@ -78,11 +77,10 @@ func SPJUDStarSWP(p Problem, maxCombos int) (*Counterexample, *Stats, error) {
 	}
 	stats := &Stats{Algorithm: "SPJUDStar"}
 	start := time.Now()
-	d12, d21, err := p.baseDiff(stats)
+	qa, qb, t, err := p.baseWitness(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	// For every SPJU term containing t, collect its minimal witnesses plus
 	// the empty choice (drop this term's witness).

@@ -144,7 +144,7 @@ func ShrinkGreedy(p Problem) (*Counterexample, *Stats, error) {
 		}
 		kept = prep.LiveIDs()
 		d12, d21 := prep.Diffs()
-		_, _, witness = firstWitness(p.Q1, p.Q2, d12, d21)
+		witness = firstWitness(d12, d21)
 	} else {
 		kept, witness, err = shrinkGreedyFallback(p, guard)
 		if err != nil {
@@ -169,11 +169,10 @@ func shrinkGreedyFallback(p Problem, guard *fkGuard) ([]relation.TupleID, relati
 	for _, id := range p.DB.AllIDs() {
 		live[id] = true
 	}
-	d12, d21, err := p.baseDiff(nil)
+	_, _, witness, err := p.baseWitness(nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	_, _, witness := firstWitness(p.Q1, p.Q2, d12, d21)
 	for {
 		progress := false
 		for _, id := range p.DB.AllIDs() {
@@ -192,7 +191,7 @@ func shrinkGreedyFallback(p Problem, guard *fkGuard) ([]relation.TupleID, relati
 			}
 			guard.remove(id)
 			progress = true
-			_, _, witness = firstWitness(p.Q1, p.Q2, nd12, nd21)
+			witness = firstWitness(nd12, nd21)
 		}
 		if !progress {
 			break

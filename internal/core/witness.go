@@ -208,11 +208,10 @@ func Basic(p Problem, delta int) (*Counterexample, *Stats, error) {
 func OptSigma(p Problem) (*Counterexample, *Stats, error) {
 	stats := &Stats{Algorithm: "OptSigma"}
 	start := time.Now()
-	d12, d21, err := p.baseDiff(stats)
+	qa, qb, t, err := p.baseWitness(stats)
 	if err != nil {
 		return nil, nil, err
 	}
-	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
 
 	t0 := time.Now()
 	prov, err := p.witnessProv(&ra.Diff{L: qa, R: qb}, t)
@@ -350,11 +349,10 @@ func OptSigmaAll(p Problem) (*Counterexample, *Stats, error) {
 // "naive-M" enumerates up to M models. It returns the witness size and the
 // models tried.
 func SolveWitnessStrategy(p Problem, strategy string, m int) (int, int, error) {
-	d12, d21, err := p.baseDiff(nil)
+	qa, qb, t, err := p.baseWitness(nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	qa, qb, t := firstWitness(p.Q1, p.Q2, d12, d21)
 	prov, err := p.witnessProv(&ra.Diff{L: qa, R: qb}, t)
 	if err != nil {
 		return 0, 0, err

@@ -38,6 +38,25 @@
 // the CNF encoding of a witness search can see. A planned join merged into
 // an equal one reports the shared node's cardinality to [Options].Observer.
 //
+// # First-witness evaluation
+//
+// [FirstDiff] returns the one tuple the single-witness algorithms explain:
+// the first of Q1 − Q2 in Q1's order, else the first of Q2 − Q1 in Q2's
+// order, the tuple [EvalPair] and relation.SetDiff give. It prepares both
+// roots as one DAG (two roots that are one node agree without any
+// evaluation), evaluates Q1 in full and Q2 up to its top join, and never
+// materializes that join. Q2's root chain above the join (σ, π, ρ and
+// Permute) copies join-input columns into its output, so each Q1 tuple
+// fixes some input columns: a hash semi-join probes, for every Q1 tuple,
+// the input pairs with those values, and a pair counts only if the join's
+// keys and θ-condition and the chain's σ accept it and the chain maps it
+// to the tuple. When every Q1 tuple is produced, the join's emit loop —
+// the one a materializing join runs — streams its pairs through the chain
+// in Q2's order up to the first output Q1 lacks. Streamed pairs count
+// against the row budget and the Stop stride as materialized output does.
+// A Q2 whose top below the chain is not a join, or is a node Q1 shares,
+// is evaluated in full.
+//
 // # Batched evaluation
 //
 // [EvalBatch] evaluates one query over K candidate subinstances of the same
@@ -77,5 +96,7 @@
 //
 // Every evaluation is bounded by the intermediate-row budget — the
 // process-wide [MaxIntermediateRows], optionally tightened per evaluation
-// via [Options].MaxRows — and fails with [ErrRowBudget] when exceeded.
+// via [Options].MaxRows — and fails with [ErrRowBudget] when exceeded. A
+// join's accepted pairs count against it whether the join materializes or
+// streams them ([FirstDiff]).
 package engine

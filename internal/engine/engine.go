@@ -14,6 +14,9 @@ import (
 // exceeding it fail with ErrRowBudget instead of exhausting memory — the
 // same pragmatic cut the paper applied ("we had to drop two overly
 // complicated student queries that involved massive cross products").
+// FirstDiff counts a streamed join's pairs against it too, but stops at
+// the witness, so it answers such a cross product whose witness streams
+// out before the bound.
 var MaxIntermediateRows = 1_000_000
 
 // ErrRowBudget is returned when a query's intermediate result exceeds the

@@ -104,29 +104,9 @@ func (j *joinSpec) pair(lt, rt relation.Tuple) (relation.Tuple, bool, error) {
 // joinNode evaluates a θ-join, natural join or planner-emitted equi-join
 // node.
 func (e *exec[T]) joinNode(q ra.Node) (*Rel[T], error) {
-	lq, rq := joinInputs(q)
-	l, err := e.node(lq)
+	j, l, r, err := e.evalJoinInputs(q)
 	if err != nil {
 		return nil, err
-	}
-	r, err := e.node(rq)
-	if err != nil {
-		return nil, err
-	}
-	j, ok := e.plans[q].(*joinIndex)
-	if !ok {
-		spec, err := newJoinSpec(q, l.Schema, r.Schema, e.params)
-		if err != nil {
-			return nil, err
-		}
-		j = &joinIndex{spec: spec}
-		if e.plans != nil && len(spec.lKeys) > 0 {
-			j.lIdx = make(map[string][]int, l.Len())
-			j.lSynced = indexKeys(j.lIdx, l, spec.lKeys, 0)
-			j.rIdx = make(map[string][]int, r.Len())
-			j.rSynced = indexKeys(j.rIdx, r, spec.rKeys, 0)
-		}
-		e.keep(q, j)
 	}
 	res, err := e.join(j.spec, l, r, j.rIdx)
 	if err != nil {
@@ -138,18 +118,68 @@ func (e *exec[T]) joinNode(q ra.Node) (*Rel[T], error) {
 	return res, nil
 }
 
-// join evaluates a join plan: a hash join on the equi-keys when there are
-// any, nested loops otherwise. rIdx, when non-nil, is the hash join's key
-// index over r, already built.
+// evalJoinInputs evaluates a join node's two inputs and returns them with the
+// node's plan: the one the exec kept, or a new one (kept when the exec
+// keeps plans).
+func (e *exec[T]) evalJoinInputs(q ra.Node) (*joinIndex, *Rel[T], *Rel[T], error) {
+	lq, rq := joinInputs(q)
+	l, err := e.node(lq)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	r, err := e.node(rq)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	j, ok := e.plans[q].(*joinIndex)
+	if !ok {
+		spec, err := newJoinSpec(q, l.Schema, r.Schema, e.params)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		j = &joinIndex{spec: spec}
+		if e.plans != nil && len(spec.lKeys) > 0 {
+			j.lIdx = make(map[string][]int, l.Len())
+			j.lSynced = indexKeys(j.lIdx, l, spec.lKeys, 0)
+			j.rIdx = make(map[string][]int, r.Len())
+			j.rSynced = indexKeys(j.rIdx, r, spec.rKeys, 0)
+		}
+		e.keep(q, j)
+	}
+	return j, l, r, nil
+}
+
+// join materializes a join plan's output. rIdx, when non-nil, is the hash
+// join's key index over r, already built. A natural cross product whose
+// size alone exceeds the row budget is refused before any pair is formed.
 func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T], error) {
 	if j.natural && len(j.lKeys) == 0 && crossExceedsBudget(l.Len(), r.Len(), e.opts.rowBudget()) {
 		return nil, ErrRowBudget
 	}
 	out := NewRel[T](j.schema)
-	if l.Len() == 0 || r.Len() == 0 {
-		return out, nil
+	err := e.joinPairs(j, l, r, rIdx, func(t relation.Tuple, ann T) error {
+		// Distinct pairs of distinct inputs form distinct tuples (a natural
+		// join's matched pair agrees on the shared columns).
+		out.appendDistinct(t, ann)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	var pairs int
+	return out, nil
+}
+
+// joinPairs is the join's emit loop: a hash join on the equi-keys when there
+// are any, nested loops otherwise. It hands every accepted pair's output
+// tuple and annotation to sink, in output order, and stops at the first
+// error sink returns. Materializing a join and streaming one (FirstDiff)
+// share it, so both count accepted pairs against the same row budget and
+// poll Stop on the same stride.
+func (e *exec[T]) joinPairs(j *joinSpec, l, r *Rel[T], rIdx map[string][]int, sink func(relation.Tuple, T) error) error {
+	if l.Len() == 0 || r.Len() == 0 {
+		return nil
+	}
+	var pairs, rows int
 	emit := func(li, ri int) error {
 		// Stride-poll the stop hook: emit sees every probed pair, so this
 		// bounds a deadline overshoot inside one join to stopPollStride
@@ -179,32 +209,30 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 		if e.s.IsZero(ann) {
 			return nil
 		}
-		if out.Len() >= e.opts.rowBudget() {
+		if rows >= e.opts.rowBudget() {
 			return ErrRowBudget
 		}
+		rows++
 		if t == nil {
 			t, _, _ = j.pair(l.Tuples[li], r.Tuples[ri])
 		}
-		// Distinct pairs of distinct inputs form distinct tuples (a natural
-		// join's matched pair agrees on the shared columns).
-		out.appendDistinct(t, ann)
-		return nil
+		return sink(t, ann)
 	}
 	if len(j.lKeys) > 0 {
 		if rIdx == nil {
 			rIdx = make(map[string][]int, r.Len())
 			indexKeys(rIdx, r, j.rKeys, 0)
 		}
-		return out, hashJoin(l, rIdx, j.lKeys, emit)
+		return hashJoin(l, rIdx, j.lKeys, emit)
 	}
 	for li := range l.Tuples {
 		for ri := range r.Tuples {
 			if err := emit(li, ri); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // indexKeys adds positions from..rel.Len() of rel to a join-key index (key

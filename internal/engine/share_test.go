@@ -367,11 +367,12 @@ func checkSharedSemiring[T any](t *testing.T, s Semiring[T], db *relation.Databa
 	}
 }
 
-// checkShared runs every shared entry point on q1 and q2 — EvalPair, the
-// counting and why-provenance semirings through the same path, EvalBatchDiffs
-// and PrepareDiff under deletions — with the planner on and off, against
-// separate evaluation and the reference evaluator. rng draws the candidate
-// subinstances, the deletions and the assignments that compare provenance.
+// checkShared runs every shared entry point on q1 and q2 — EvalPair,
+// FirstDiff, the counting and why-provenance semirings through the same
+// path, EvalBatchDiffs and PrepareDiff under deletions — with the planner on
+// and off, against separate evaluation and the reference evaluator. rng
+// draws the candidate subinstances, the deletions and the assignments that
+// compare provenance.
 func checkShared(t *testing.T, rng *rand.Rand, db *relation.Database, q1, q2 ra.Node) {
 	t.Helper()
 	allIDs := db.AllIDs()
@@ -474,6 +475,7 @@ func checkShared(t *testing.T, rng *rand.Rand, db *relation.Database, q1, q2 ra.
 		}
 		modes = append(modes, opts)
 	}
+	checkFirstDiff(t, db, q1, q2, modes)
 	checkSharedSemiring(t, Set, db, q1, q2, modes, func(x, y bool) bool { return x == y })
 	checkSharedSemiring(t, Counting, db, q1, q2, modes, func(x, y Count) bool { return x == y })
 	checkSharedSemiring(t, Why, db, q1, q2, modes, sameProv)
@@ -514,6 +516,54 @@ func checkShared(t *testing.T, rng *rand.Rand, db *relation.Database, q1, q2 ra.
 			}
 			if err := res.Commit(); err != nil {
 				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// firstDiffBudgets are the tight row budgets FirstDiff is checked under.
+var firstDiffBudgets = []int{1, 4, 16}
+
+// firstWitnessRule is the rule FirstDiff implements, over EvalPair's
+// results: the first tuple of Q1 − Q2, else the first of Q2 − Q1.
+func firstWitnessRule(q1, q2 ra.Node, db *relation.Database, opts Options) (relation.Tuple, bool, error) {
+	r1, r2, err := EvalPair(q1, q2, db, nil, opts)
+	if err != nil {
+		return nil, false, err
+	}
+	if d := r1.SetDiff(r2); d.Len() > 0 {
+		return d.Tuples[0], true, nil
+	}
+	if d := r2.SetDiff(r1); d.Len() > 0 {
+		return d.Tuples[0], false, nil
+	}
+	return nil, false, nil
+}
+
+// checkFirstDiff checks FirstDiff in each of modes against the first-witness
+// rule over EvalPair. Under each tight MaxRows it must succeed wherever
+// EvalPair succeeds; it may succeed where EvalPair exceeds the budget, and
+// whenever it succeeds it must pick the unbudgeted rule's tuple.
+func checkFirstDiff(t *testing.T, db *relation.Database, q1, q2 ra.Node, modes []Options) {
+	t.Helper()
+	for _, opts := range modes {
+		want, wantQ1, err := firstWitnessRule(q1, q2, db, opts)
+		if err != nil {
+			t.Fatalf("NoPlan %v: EvalPair: %v\nq1: %s\nq2: %s", opts.NoPlan, err, q1, q2)
+		}
+		for _, max := range append([]int{0}, firstDiffBudgets...) {
+			o := opts
+			o.MaxRows = max
+			got, gotQ1, err := FirstDiff(q1, q2, db, nil, o)
+			if err != nil {
+				if _, _, ruleErr := firstWitnessRule(q1, q2, db, o); !errors.Is(err, ErrRowBudget) || ruleErr == nil {
+					t.Fatalf("NoPlan %v, MaxRows %d: FirstDiff failed (%v) where EvalPair gave %v\nq1: %s\nq2: %s", opts.NoPlan, max, err, ruleErr, q1, q2)
+				}
+				continue
+			}
+			if (got == nil) != (want == nil) || got != nil && (!got.Identical(want) || gotQ1 != wantQ1) {
+				t.Fatalf("NoPlan %v, MaxRows %d: FirstDiff picked %v (in Q1: %v), the rule %v (in Q1: %v)\nq1: %s\nq2: %s",
+					opts.NoPlan, max, got, gotQ1, want, wantQ1, q1, q2)
 			}
 		}
 	}

@@ -150,6 +150,20 @@ func (l *lexer) lexNumber() string {
 		}
 		break
 	}
+	// An exponent, as relation.Value prints floats: e or E, an optional
+	// sign, and at least one digit.
+	if l.pos < len(l.src) && (l.src[l.pos] == 'e' || l.src[l.pos] == 'E') {
+		i := l.pos + 1
+		if i < len(l.src) && (l.src[i] == '+' || l.src[i] == '-') {
+			i++
+		}
+		if i < len(l.src) && unicode.IsDigit(rune(l.src[i])) {
+			l.pos = i
+			for l.pos < len(l.src) && unicode.IsDigit(rune(l.src[l.pos])) {
+				l.pos++
+			}
+		}
+	}
 	return l.src[start:l.pos]
 }
 

@@ -39,6 +39,7 @@ race:
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSharedEval$$' -fuzztime 10s ./internal/engine/
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePrint$$' -fuzztime 10s ./internal/raparser/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadDatabase$$' -fuzztime 10s .
 
 # One iteration of the batch, delta, planner, IVM and session benchmarks:
 # compile-and-run smoke plus their embedded equivalence guards.

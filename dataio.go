@@ -22,8 +22,9 @@ import (
 //	fk Registration(name) -> Student(name)
 //
 // Lines starting with # are comments. String values may be quoted with
-// single quotes (required when they contain commas). It returns the
-// instance and the declared constraints.
+// single quotes (required when they contain commas), a quote inside written
+// twice. It returns the instance and the declared constraints; a relation
+// declared twice is an error.
 func LoadDatabase(r io.Reader) (*Database, []Constraint, error) {
 	db := relation.NewDatabase()
 	var constraints []Constraint
@@ -42,6 +43,9 @@ func LoadDatabase(r io.Reader) (*Database, []Constraint, error) {
 			name, schema, err := parseRelationDecl(strings.TrimPrefix(line, "relation "))
 			if err != nil {
 				return nil, nil, fmt.Errorf("line %d: %v", lineNo, err)
+			}
+			if db.Relation(name) != nil {
+				return nil, nil, fmt.Errorf("line %d: relation %q declared twice", lineNo, name)
 			}
 			current = db.CreateRelation(name, schema)
 		case strings.HasPrefix(line, "key "):
@@ -130,21 +134,21 @@ func parseRelationDecl(s string) (string, Schema, error) {
 }
 
 func parseRelAttrs(s string) (string, []string, error) {
+	s = strings.TrimSpace(s)
 	open := strings.Index(s, "(")
-	if open < 0 || !strings.HasSuffix(strings.TrimSpace(s), ")") {
+	if open < 0 || !strings.HasSuffix(s, ")") {
 		return "", nil, fmt.Errorf("expected rel(attrs), got %q", s)
 	}
 	name := strings.TrimSpace(s[:open])
-	inner := strings.TrimSpace(s)
-	inner = inner[open+1 : len(inner)-1]
 	var attrs []string
-	for _, a := range strings.Split(inner, ",") {
+	for _, a := range strings.Split(s[open+1:len(s)-1], ",") {
 		attrs = append(attrs, strings.TrimSpace(a))
 	}
 	return name, attrs, nil
 }
 
-// splitCSV splits a comma-separated row, honoring single-quoted fields.
+// splitCSV splits a comma-separated row, honoring single-quoted fields. A
+// field keeps its quotes and doubled quotes: relation.ParseValue undoes them.
 func splitCSV(line string) ([]string, error) {
 	var out []string
 	var b strings.Builder
@@ -154,7 +158,7 @@ func splitCSV(line string) ([]string, error) {
 		switch {
 		case c == '\'':
 			if inQuote && i+1 < len(line) && line[i+1] == '\'' {
-				b.WriteByte('\'')
+				b.WriteString("''")
 				i++
 				continue
 			}
@@ -206,11 +210,7 @@ func DumpDatabase(w io.Writer, db *Database, constraints []Constraint) error {
 		for _, t := range r.Tuples {
 			parts := make([]string, len(t))
 			for i, v := range t {
-				if v.Kind() == relation.KindString {
-					parts[i] = "'" + strings.ReplaceAll(v.AsString(), "'", "''") + "'"
-				} else {
-					parts[i] = v.String()
-				}
+				parts[i] = v.Quote()
 			}
 			fmt.Fprintln(w, strings.Join(parts, ", "))
 		}

@@ -3,6 +3,7 @@ package boolexpr
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -343,6 +344,68 @@ func randomExpr(rng *rand.Rand, depth, nvars int) *Expr {
 		return Or(kids...)
 	default:
 		return Not(And(kids...))
+	}
+}
+
+// treeCopy rebuilds e so that no subexpression is shared by pointer.
+func treeCopy(e *Expr) *Expr {
+	c := &Expr{Op: e.Op, X: e.X}
+	for _, k := range e.Kids {
+		c.Kids = append(c.Kids, treeCopy(k))
+	}
+	return c
+}
+
+// randomDAG draws each of n formulas over the variables and the formulas
+// drawn before it, so the last one shares earlier ones by pointer.
+func randomDAG(rng *rand.Rand, n, nvars int) *Expr {
+	var pool []*Expr
+	for id := 0; id < nvars; id++ {
+		pool = append(pool, Var(id))
+	}
+	for i := 0; i < n; i++ {
+		kids := make([]*Expr, 2+rng.Intn(2))
+		for j := range kids {
+			kids[j] = pool[rng.Intn(len(pool))]
+		}
+		switch rng.Intn(3) {
+		case 0:
+			pool = append(pool, And(kids...))
+		case 1:
+			pool = append(pool, Or(kids...))
+		default:
+			pool = append(pool, Not(Or(kids...)))
+		}
+	}
+	return pool[len(pool)-1]
+}
+
+// TestCNFBuilderStructural: a formula built as a DAG and its tree-shaped
+// copy, in which every shared subexpression is rebuilt, encode to the same
+// variables and clauses.
+func TestCNFBuilderStructural(t *testing.T) {
+	s := Or(Var(1), Var(2))
+	n := Not(And(Var(1), Var(3)))
+	a := And(Var(1), Var(2))
+	b := Or(a, Var(3))
+	c := And(b, Not(a))
+	formulas := []*Expr{
+		Or(And(s, Var(3)), And(s, Var(4)), Not(s)),
+		And(Or(n, Var(3)), Or(n, Var(4)), n),
+		Or(c, And(b, Var(4)), Not(c)),
+	}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200; i++ {
+		formulas = append(formulas, randomDAG(rng, 2+rng.Intn(7), 5))
+	}
+	for _, e := range formulas {
+		dag, tree := NewCNFBuilder(), NewCNFBuilder()
+		dag.Assert(e)
+		tree.Assert(treeCopy(e))
+		if dag.NumVars != tree.NumVars || !reflect.DeepEqual(dag.Clauses, tree.Clauses) || !reflect.DeepEqual(dag.varOf, tree.varOf) {
+			t.Fatalf("%v: the DAG encodes to %d variables and %v, its tree-shaped copy to %d and %v",
+				e, dag.NumVars, dag.Clauses, tree.NumVars, tree.Clauses)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package boolexpr
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 )
@@ -72,12 +73,14 @@ func (b *CNFBuilder) AddClause(lits ...int) {
 	b.Clauses = append(b.Clauses, c)
 }
 
-// Assert adds clauses forcing e to be true, using Tseitin transformation
-// with memoization over the expression DAG.
+// Assert adds clauses forcing e to be true, by the Tseitin transformation.
+// The encoding is structural: a gate is keyed by its operator and its
+// children's literals, so equal subformulas share one gate whether or not
+// they share a pointer, and a formula encodes to the same NumVars and
+// Clauses as any copy of it that shares more or fewer subexpressions. A
+// subexpression met again by pointer is not walked again.
 func (b *CNFBuilder) Assert(e *Expr) {
-	memo := make(map[*Expr]int)
-	lit := b.tseitin(e, memo)
-	b.AddClause(lit)
+	b.AddClause(b.tseitin(e, make(map[*Expr]int), make(map[string]int)))
 }
 
 // AssertImplies adds clauses for (a -> b) where a and b are expression
@@ -91,53 +94,43 @@ func (b *CNFBuilder) AssertImplies(a int, bs []int) {
 	b.AddClause(clause...)
 }
 
-// tseitin returns a literal equivalent to e, adding defining clauses.
-func (b *CNFBuilder) tseitin(e *Expr, memo map[*Expr]int) int {
+// tseitin returns a literal equivalent to e, adding defining clauses. memo
+// holds the literals of the expressions walked, and gates the literal of
+// each gate by its operator and its children's literals.
+func (b *CNFBuilder) tseitin(e *Expr, memo map[*Expr]int, gates map[string]int) int {
 	if lit, ok := memo[e]; ok {
 		return lit
 	}
 	var lit int
 	switch e.Op {
-	case OpTrue:
-		v := b.Fresh()
-		b.AddClause(v)
-		lit = v
-	case OpFalse:
-		v := b.Fresh()
-		b.AddClause(-v)
-		lit = v
 	case OpVar:
 		lit = b.VarFor(e.X)
 	case OpNot:
-		lit = -b.tseitin(e.Kids[0], memo)
-	case OpAnd:
+		lit = -b.tseitin(e.Kids[0], memo, gates)
+	case OpTrue, OpFalse, OpAnd, OpOr:
+		key := []byte{byte(e.Op)}
 		kids := make([]int, len(e.Kids))
 		for i, k := range e.Kids {
-			kids[i] = b.tseitin(k, memo)
+			kids[i] = b.tseitin(k, memo, gates)
+			key = binary.AppendVarint(key, int64(kids[i]))
 		}
-		x := b.Fresh()
-		long := make([]int, 0, len(kids)+1)
-		long = append(long, x)
-		for _, k := range kids {
-			b.AddClause(-x, k)
-			long = append(long, -k)
+		var ok bool
+		if lit, ok = gates[string(key)]; !ok {
+			// lit ↔ ∧kids for And and True (no kids); for Or and False, s
+			// negates every literal of the clauses: lit ↔ ∨kids.
+			s := 1
+			if e.Op == OpOr || e.Op == OpFalse {
+				s = -1
+			}
+			lit = b.Fresh()
+			long := append(make([]int, 0, len(kids)+1), s*lit)
+			for _, k := range kids {
+				b.AddClause(-s*lit, s*k)
+				long = append(long, -s*k)
+			}
+			b.AddClause(long...)
+			gates[string(key)] = lit
 		}
-		b.AddClause(long...)
-		lit = x
-	case OpOr:
-		kids := make([]int, len(e.Kids))
-		for i, k := range e.Kids {
-			kids[i] = b.tseitin(k, memo)
-		}
-		x := b.Fresh()
-		long := make([]int, 0, len(kids)+1)
-		long = append(long, -x)
-		for _, k := range kids {
-			b.AddClause(x, -k)
-			long = append(long, k)
-		}
-		b.AddClause(long...)
-		lit = x
 	default:
 		panic(fmt.Sprintf("boolexpr: unknown op %d", e.Op))
 	}

@@ -120,7 +120,7 @@ func EvalBatch(q ra.Node, db *relation.Database, params map[string]relation.Valu
 // base scans included, are evaluated once for both) and returns the two
 // physical differences q1 − q2 and q2 − q1.
 func evalPairDiffs[T any](s Semiring[T], q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (*Rel[T], *Rel[T], error) {
-	qs, err := prepare([]ra.Node{q1, q2}, db, opts, true, false)
+	qs, err := prepare([]ra.Node{q1, q2}, db, opts, true)
 	if err != nil {
 		return nil, nil, err
 	}

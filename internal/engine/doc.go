@@ -33,10 +33,12 @@
 // children become one node, so one call's roots form one plan DAG. A
 // subquery a query repeats, a base relation it scans twice, and everything
 // Q1 and Q2 have in common are evaluated once; the exec keeps a shared
-// node's result until its last reader has taken it. Under [Why] only base
-// relations are merged: its annotations are expression DAGs whose sharing
-// the CNF encoding of a witness search can see. A planned join merged into
-// an equal one reports the shared node's cardinality to [Options].Observer.
+// node's result until its last reader has taken it. The rule is the same
+// under every semiring: under [Why] a shared node's annotations are shared
+// subexpressions, and since the witness search encodes provenance to CNF by
+// structure, not by pointer, sharing them does not change its formula. A
+// planned join merged into an equal one reports the shared node's
+// cardinality to [Options].Observer.
 //
 // # First-witness evaluation
 //

@@ -37,7 +37,7 @@ import (
 // zero) at a pair the stream never reaches.
 func FirstDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) (t relation.Tuple, inQ1 bool, err error) {
 	faults.Inject(faults.EngineEval)
-	roots, err := prepare([]ra.Node{q1, q2}, db, opts, true, false)
+	roots, err := prepare([]ra.Node{q1, q2}, db, opts, true)
 	if err != nil {
 		return nil, false, err
 	}

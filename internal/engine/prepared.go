@@ -187,7 +187,7 @@ func PrepareDiff(q1, q2 ra.Node, db *relation.Database, params map[string]relati
 	// semi-join pass is not: a deletion elsewhere can turn a retained tuple
 	// dangling, so a semi-join-reduced retained state cannot be maintained
 	// by local deltas.
-	qs, err := prepare([]ra.Node{q1, q2}, db, opts, false, false)
+	qs, err := prepare([]ra.Node{q1, q2}, db, opts, false)
 	if err != nil {
 		return nil, err
 	}

@@ -15,8 +15,10 @@ import (
 // then all of them are hash-consed together, so structurally equal subtrees
 // — a subquery a query repeats, a base relation it scans twice, everything
 // a wrong query shares with its reference — become one node. One exec then
-// evaluates every root, and its memo computes each shared node once. Under
-// why-provenance only base relations are merged (see subtreesShared).
+// evaluates every root, and its memo computes each shared node once, under
+// every semiring: a witness search encodes why-provenance to CNF by
+// structure (boolexpr.CNFBuilder.Assert), so sharing annotations does not
+// change its formula.
 //
 // The structural key of a node is its operator tag, an injective encoding of
 // its payload (names and lists length-prefixed, constants tagged by kind),
@@ -26,10 +28,9 @@ import (
 
 // prepare optimizes and plans each root, then hash-conses all the planned
 // trees together. allowSemi gates the planner's Yannakakis pass, as in
-// planWith. With relsOnly, only base relations are merged (see
-// subtreesShared). The returned roots are in the input order; equal roots
-// come back as one node.
-func prepare(roots []ra.Node, db *relation.Database, opts Options, allowSemi, relsOnly bool) ([]ra.Node, error) {
+// planWith. The returned roots are in the input order; equal roots come
+// back as one node.
+func prepare(roots []ra.Node, db *relation.Database, opts Options, allowSemi bool) ([]ra.Node, error) {
 	out := make([]ra.Node, len(roots))
 	for i, q := range roots {
 		if !opts.NoOptimize {
@@ -44,7 +45,6 @@ func prepare(roots []ra.Node, db *relation.Database, opts Options, allowSemi, re
 		out[i] = q
 	}
 	in := newInterner(opts.Observer)
-	in.relsOnly = relsOnly
 	for i, q := range out {
 		out[i] = in.intern(q)
 	}
@@ -70,23 +70,11 @@ func (e *exec[T]) run(roots ...ra.Node) ([]*Rel[T], error) {
 
 // runRoots prepares the roots and evaluates them in one exec.
 func runRoots[T any](s Semiring[T], roots []ra.Node, db *relation.Database, params map[string]relation.Value, opts Options) ([]*Rel[T], error) {
-	roots, err := prepare(roots, db, opts, true, !subtreesShared(s))
+	roots, err := prepare(roots, db, opts, true)
 	if err != nil {
 		return nil, err
 	}
 	return newExec(s, db, params, opts).run(roots...)
-}
-
-// subtreesShared reports whether an exec under s may merge equal subtrees,
-// or only base relations. Why-provenance annotations are expression DAGs,
-// and the CNF encoding of a witness search gives every distinct
-// subexpression its own Tseitin variable. Merging two equal subtrees would
-// merge their annotations' subexpressions, hand the solver a different
-// formula, and so change which of several equally small counterexamples it
-// returns.
-func subtreesShared[T any](s Semiring[T]) bool {
-	_, why := any(s).(WhySemiring)
-	return !why
 }
 
 // EvalPair evaluates q1 and q2 on db under set semantics in one exec: the
@@ -107,12 +95,11 @@ func EvalPair(q1, q2 ra.Node, db *relation.Database, params map[string]relation.
 // children were already canonical (PlanReport finds joins by pointer);
 // otherwise it is rebuilt over the canonical children.
 type interner struct {
-	ids      map[ra.Node]uint64  // canonical node → id
-	byKey    map[string]ra.Node  // structural key → canonical node
-	seen     map[ra.Node]ra.Node // input node → its canonical node
-	report   *PlanReport
-	relsOnly bool // merge base relations only
-	buf      []byte
+	ids    map[ra.Node]uint64  // canonical node → id
+	byKey  map[string]ra.Node  // structural key → canonical node
+	seen   map[ra.Node]ra.Node // input node → its canonical node
+	report *PlanReport
+	buf    []byte
 }
 
 func newInterner(report *PlanReport) *interner {
@@ -137,14 +124,12 @@ func (in *interner) intern(n ra.Node) ra.Node {
 	if changed {
 		c = withChildren(n, canon)
 	}
-	if _, isRel := n.(*ra.Rel); isRel || !in.relsOnly {
-		// An operator without a structural encoding is never merged.
-		if key, ok := in.key(n, canon); ok {
-			if prev, found := in.byKey[key]; found {
-				c = prev
-			} else {
-				in.byKey[key] = c
-			}
+	// An operator without a structural encoding is never merged.
+	if key, ok := in.key(n, canon); ok {
+		if prev, found := in.byKey[key]; found {
+			c = prev
+		} else {
+			in.byKey[key] = c
 		}
 	}
 	if _, ok := in.ids[c]; !ok {

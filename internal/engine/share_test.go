@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -106,9 +107,10 @@ func TestStructuralKeyMerges(t *testing.T) {
 }
 
 // TestSharedSubtreeEvaluatedOnce: one exec evaluates a subtree that occurs
-// three times once, within one root and across EvalPair's two. Options.Stop
-// is polled once per operator evaluated (and every stopPollStride join
-// pairs, which these small joins never reach).
+// three times once, within one root under every semiring, why-provenance
+// included, and across EvalPair's two. Options.Stop is polled once per
+// operator evaluated (and every stopPollStride join pairs, which these
+// small joins never reach).
 func TestSharedSubtreeEvaluatedOnce(t *testing.T) {
 	db := randomDB(rand.New(rand.NewSource(5)))
 	sub := func() ra.Node {
@@ -125,14 +127,19 @@ func TestSharedSubtreeEvaluatedOnce(t *testing.T) {
 		}
 		return polls
 	}
-	one := count(func() error { _, err := RunOpts(Set, sub(), db, nil, opts); return err })
-	three := count(func() error {
-		_, err := RunOpts(Set, &ra.Union{L: &ra.Union{L: sub(), R: sub()}, R: sub()}, db, nil, opts)
-		return err
-	})
-	if three != one+2 {
-		t.Errorf("a union of three equal subtrees evaluated %d operators, want %d (one subtree: %d)", three, one+2, one)
+	set := func(q ra.Node) error { _, err := RunOpts(Set, q, db, nil, opts); return err }
+	why := func(q ra.Node) error { _, err := RunOpts(Why, q, db, nil, opts); return err }
+	for _, c := range []struct {
+		semiring string
+		eval     func(ra.Node) error
+	}{{"set", set}, {"why-provenance", why}} {
+		one := count(func() error { return c.eval(sub()) })
+		three := count(func() error { return c.eval(&ra.Union{L: &ra.Union{L: sub(), R: sub()}, R: sub()}) })
+		if three != one+2 {
+			t.Errorf("%s: a union of three equal subtrees evaluated %d operators, want %d (one subtree: %d)", c.semiring, three, one+2, one)
+		}
 	}
+	one := count(func() error { return set(sub()) })
 	pair := count(func() error {
 		_, _, err := EvalPair(&ra.Union{L: sub(), R: sub()}, sub(), db, nil, opts)
 		return err
@@ -196,30 +203,6 @@ func TestPlanReportSharedJoins(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("ExplainPlan then EvalOpts", report)
-}
-
-// TestWhyKeepsEqualSubtreesApart: under why-provenance only base relations
-// are shared, so each copy of a repeated join builds its own annotations.
-// The CNF encoding of a witness search gives each distinct subexpression a
-// Tseitin variable; sharing them would change the solver's formula.
-func TestWhyKeepsEqualSubtreesApart(t *testing.T) {
-	join := func() ra.Node {
-		return &ra.Join{L: &ra.Rename{As: "u", In: &ra.Rel{Name: "R"}}, R: &ra.Rename{As: "v", In: &ra.Rel{Name: "S"}},
-			Cond: &ra.Cmp{Op: ra.EQ, L: &ra.AttrRef{Name: "u.a"}, R: &ra.AttrRef{Name: "v.a"}}}
-	}
-	db := randomDB(rand.New(rand.NewSource(5)))
-	got, err := EvalProv(&ra.Union{L: join(), R: join()}, db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() == 0 {
-		t.Fatal("the join is empty; pick another instance")
-	}
-	for i, ann := range got.Anns {
-		if ann.Op != boolexpr.OpOr || len(ann.Kids) != 2 || ann.Kids[0] == ann.Kids[1] {
-			t.Fatalf("tuple %v: annotation %s does not keep the two copies' annotations apart", got.Tuples[i], ann)
-		}
-	}
 }
 
 // cloneNode deep-copies a plan, so that what the copy shares with the
@@ -323,13 +306,26 @@ func sameRel[T any](a, b *Rel[T], same func(x, y T) bool) bool {
 	return true
 }
 
+// cnfText renders e's Tseitin encoding: its variables, clauses and the
+// tuple id of each base variable.
+func cnfText(e *boolexpr.Expr) string {
+	b := boolexpr.NewCNFBuilder()
+	b.Assert(e)
+	ids := map[int]int{}
+	for _, v := range b.BaseVars() {
+		ids[v], _ = b.ExprVar(v)
+	}
+	return fmt.Sprint(b.NumVars, b.Clauses, ids)
+}
+
 // planModes are the options every shared entry point is checked under.
 var planModes = []Options{{}, {NoPlan: true}}
 
 // checkSharedSemiring evaluates q1 and q2 in one exec under s, in each of
-// modes, and fails unless each result equals, in order, the query's
-// separate evaluation, and equals the reference's result up to order.
-func checkSharedSemiring[T any](t *testing.T, s Semiring[T], db *relation.Database, q1, q2 ra.Node, modes []Options, same func(x, y T) bool) {
+// modes, and fails unless each result equals, in order and with identical
+// annotations, the query's separate evaluation, and equals the reference's
+// result up to order with annotations the same.
+func checkSharedSemiring[T any](t *testing.T, s Semiring[T], db *relation.Database, q1, q2 ra.Node, modes []Options, same, identical func(x, y T) bool) {
 	t.Helper()
 	qs := []ra.Node{q1, q2}
 	var want [2]*refRel[T]
@@ -350,7 +346,7 @@ func checkSharedSemiring[T any](t *testing.T, s Semiring[T], db *relation.Databa
 			if err != nil {
 				t.Fatalf("%s, NoPlan %v: separate evaluation: %v\nquery: %s", s.Name(), opts.NoPlan, err, q)
 			}
-			if !sameRel(shared[i], sep, same) {
+			if !sameRel(shared[i], sep, identical) {
 				t.Fatalf("%s, NoPlan %v: q%d differs between shared and separate evaluation\nq1: %s\nq2: %s\nshared:   %v\nseparate: %v",
 					s.Name(), opts.NoPlan, i+1, q1, q2, shared[i].Tuples, sep.Tuples)
 			}
@@ -400,6 +396,9 @@ func checkShared(t *testing.T, rng *rand.Rand, db *relation.Database, q1, q2 ra.
 		}
 		return true
 	}
+	// Shared and separate evaluation must hand a witness search the same
+	// CNF.
+	sameCNF := func(x, y *boolexpr.Expr) bool { return cnfText(x) == cnfText(y) }
 	// diffRef is the reference's Q1 − Q2 and Q2 − Q1 on the subinstance
 	// keeping the given ids.
 	type diffs struct{ d12, d21 map[string]bool }
@@ -476,9 +475,11 @@ func checkShared(t *testing.T, rng *rand.Rand, db *relation.Database, q1, q2 ra.
 		modes = append(modes, opts)
 	}
 	checkFirstDiff(t, db, q1, q2, modes)
-	checkSharedSemiring(t, Set, db, q1, q2, modes, func(x, y bool) bool { return x == y })
-	checkSharedSemiring(t, Counting, db, q1, q2, modes, func(x, y Count) bool { return x == y })
-	checkSharedSemiring(t, Why, db, q1, q2, modes, sameProv)
+	eqBool := func(x, y bool) bool { return x == y }
+	eqCount := func(x, y Count) bool { return x == y }
+	checkSharedSemiring(t, Set, db, q1, q2, modes, eqBool, eqBool)
+	checkSharedSemiring(t, Counting, db, q1, q2, modes, eqCount, eqCount)
+	checkSharedSemiring(t, Why, db, q1, q2, modes, sameProv, sameCNF)
 
 	for _, opts := range modes {
 		b12, b21, err := EvalBatchDiffs(q1, q2, db, nil, cands, opts)

@@ -91,7 +91,18 @@ func (c *Cmp) String() string { return fmt.Sprintf("%s %s %s", c.L, c.Op, c.R) }
 // And is a conjunction of predicates.
 type And struct{ Kids []Expr }
 
-func (a *And) String() string { return joinExprs(a.Kids, " and ") }
+// String puts a conjunct that is itself a conjunction in parentheses, so
+// that the printed predicate parses back to the same tree.
+func (a *And) String() string {
+	parts := make([]string, len(a.Kids))
+	for i, k := range a.Kids {
+		parts[i] = k.String()
+		if _, nested := k.(*And); nested {
+			parts[i] = "(" + parts[i] + ")"
+		}
+	}
+	return strings.Join(parts, " and ")
+}
 
 // Or is a disjunction of predicates.
 type Or struct{ Kids []Expr }

@@ -1,6 +1,7 @@
 package raparser_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/course"
@@ -32,13 +33,16 @@ func corpusQueries() []ra.Node {
 }
 
 // FuzzParsePrint: whatever the parser accepts, it accepts again as printed,
-// and the reprint is the same text. Printing is how queries travel (the
-// benchmark's pair texts, the server's plan cache keys), and
-// relation.Value.Quote promises a literal the parser reads back.
+// as the same tree, and the reprint is the same text. Printing is how
+// queries travel (the benchmark's pair texts, the server's plan cache
+// keys), and relation.Value.Quote promises a literal the parser reads back
+// as the same value.
 func FuzzParsePrint(f *testing.F) {
 	for _, q := range corpusQueries() {
 		f.Add(q.String())
 	}
+	f.Add("select[a = 1 and (b = 2 and c = 3)](R)")
+	f.Add("select[x > 1.0](R)")
 	f.Fuzz(func(t *testing.T, src string) {
 		q, err := raparser.Parse(src)
 		if err != nil {
@@ -48,6 +52,9 @@ func FuzzParsePrint(f *testing.F) {
 		again, err := raparser.Parse(printed)
 		if err != nil {
 			t.Fatalf("%q printed as %q, which does not parse: %v", src, printed, err)
+		}
+		if !reflect.DeepEqual(q, again) {
+			t.Fatalf("%q printed as %q, which parses to another tree", src, printed)
 		}
 		if reprinted := again.String(); reprinted != printed {
 			t.Fatalf("%q printed as %q, then as %q", src, printed, reprinted)

@@ -143,10 +143,16 @@ func (v Value) String() string {
 	}
 }
 
-// Quote renders the value as a literal parseable by the RA parser.
+// Quote renders the value as a literal parseable by the RA parser, which
+// reads it back as the same kind: an integral float gets a fraction ("1.0").
 func (v Value) Quote() string {
-	if v.kind == KindString {
+	switch v.kind {
+	case KindString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	case KindFloat:
+		if s := v.String(); strings.Trim(s, "-0123456789") == "" {
+			return s + ".0"
+		}
 	}
 	return v.String()
 }

@@ -92,7 +92,7 @@ func LoadDatabase(r io.Reader) (*Database, []Constraint, error) {
 			}
 			tup := make(Tuple, len(vals))
 			for i, v := range vals {
-				tup[i] = coerce(relation.ParseValue(v), current.Schema.Attrs[i].Type)
+				tup[i] = fieldValue(v, current.Schema.Attrs[i].Type)
 			}
 			db.Insert(current.Name, tup)
 		}
@@ -178,19 +178,19 @@ func splitCSV(line string) ([]string, error) {
 	return out, nil
 }
 
-// coerce adjusts a parsed value to the declared column type (e.g. bare words
-// parse as strings; ints widen to floats).
-func coerce(v Value, kind relation.Kind) Value {
-	if v.IsNull() || v.Kind() == kind {
+// fieldValue reads one trimmed field of a column of the given type: a
+// literal as relation.ParseValue reads it, adjusted to the column (ints
+// widen to floats). An unquoted field of a string column keeps its text as
+// written, so "007", "1.50" and "TRUE" stay those strings.
+func fieldValue(field string, kind relation.Kind) Value {
+	v := relation.ParseValue(field)
+	switch {
+	case v.IsNull() || v.Kind() == kind:
 		return v
-	}
-	switch kind {
-	case relation.KindFloat:
-		if v.Kind() == relation.KindInt {
-			return relation.Float(float64(v.AsInt()))
-		}
-	case relation.KindString:
-		return relation.String(v.String())
+	case kind == relation.KindString:
+		return relation.String(field)
+	case kind == relation.KindFloat && v.Kind() == relation.KindInt:
+		return relation.Float(float64(v.AsInt()))
 	}
 	return v
 }

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/relation"
 )
 
 // FuzzLoadDatabase: whatever LoadDatabase accepts, DumpDatabase writes as
@@ -41,4 +43,24 @@ func FuzzLoadDatabase(f *testing.F) {
 			t.Fatalf("constraints %v reload as %v\ndump:\n%s", cons, againCons, dump.String())
 		}
 	})
+}
+
+// TestLoadDatabaseKeepsStringText: an unquoted field of a string column
+// loads as the text written, not as a number or bool printed back.
+func TestLoadDatabaseKeepsStringText(t *testing.T) {
+	src := "relation C(code: string, n: int, x: float)\n007, 7, 7\n1.50, 1, 1.50\nTRUE, 2, 2\nnull, 3, 3\n'0.10', 4, 4\n"
+	db, _, err := LoadDatabase(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Tuple{
+		{relation.String("007"), relation.Int(7), relation.Float(7)},
+		{relation.String("1.50"), relation.Int(1), relation.Float(1.5)},
+		{relation.String("TRUE"), relation.Int(2), relation.Float(2)},
+		{relation.Null(), relation.Int(3), relation.Float(3)},
+		{relation.String("0.10"), relation.Int(4), relation.Float(4)},
+	}
+	if got := db.Relation("C").Tuples; !reflect.DeepEqual(got, want) {
+		t.Errorf("loaded %v, want %v", got, want)
+	}
 }

@@ -40,9 +40,12 @@ type AggOptions struct {
 // symbolic integer parameters chosen by the solver.
 func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 	name := "Agg-Basic"
+	var rq1, rq2 ra.Node // the rewritten queries, if any
 	if opts.Parameterize {
 		name = "Agg-Param"
-		p = p.withHavingParams()
+		pp := p.withHavingParams()
+		rq1, rq2 = p.rewrites(pp)
+		p = pp
 	}
 	stats := &Stats{Algorithm: name}
 	start := time.Now()
@@ -181,7 +184,7 @@ func AggBasic(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		sort.Ints(ids)
 		ids, _ = fkClose(ids, fk)
 		sub, tids := subinstanceFromIDs(p.DB, ids)
-		ce := &Counterexample{DB: sub, IDs: tids, Witness: c.key, Q1: p.Q1, Q2: p.Q2}
+		ce := &Counterexample{DB: sub, IDs: tids, Witness: c.key, Q1: rq1, Q2: rq2}
 		if opts.Parameterize {
 			ce.Params = map[string]relation.Value{}
 			for k, v := range p.Params {
@@ -497,7 +500,8 @@ func AggOpt(p Problem, opts AggOptions) (*Counterexample, *Stats, error) {
 		stats.ModelsTried++
 		ids, _ = fkClose(ids, fk)
 		sub, tids := subinstanceFromIDs(p.DB, ids)
-		ce := &Counterexample{DB: sub, IDs: tids, Witness: t, Q1: pp.Q1, Q2: pp.Q2}
+		ce := &Counterexample{DB: sub, IDs: tids, Witness: t}
+		ce.Q1, ce.Q2 = p.rewrites(pp)
 		// Choose parameter values that let the shrunken groups pass the
 		// HAVING thresholds (the paper's per-aggregate heuristic).
 		ce.Params = chooseParams(pp, sub)

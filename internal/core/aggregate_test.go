@@ -297,3 +297,32 @@ func TestForEachWitnessModelStartsAtOptimum(t *testing.T) {
 		seen[key] = true
 	}
 }
+
+// TestAggOptAnswerHoldsOnlyRewrites: an answer carries queries of its own
+// only where the HAVING parameterization rewrote one; otherwise readers fall
+// back to the problem's, and the answer keeps no query tree alive.
+func TestAggOptAnswerHoldsOnlyRewrites(t *testing.T) {
+	p := Problem{Q1: testdb.AggQ1(), Q2: testdb.AggQ2(), DB: testdb.Example1DB()}
+	ce, _, err := AggOpt(p, AggOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ce.Q1 != nil || ce.Q2 != nil {
+		t.Errorf("answer to queries without HAVING holds queries %v and %v", ce.Q1, ce.Q2)
+	}
+	qs := tpch.Q18()
+	p = Problem{Q1: qs.Correct, Q2: qs.Wrong[0], DB: tpch.Generate(0.0005, 1), Constraints: tpch.Constraints()}
+	ce, st, err := AggOpt(p, AggOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Algorithm != "Agg-Opt" {
+		t.Fatalf("Q18 answered by %s, want Agg-Opt", st.Algorithm)
+	}
+	if ce.Q1 == nil || ce.Q2 == nil || ce.Q1 == p.Q1 || ce.Q2 == p.Q2 {
+		t.Errorf("Q18 answer holds %v and %v, want both parameterized rewrites", ce.Q1, ce.Q2)
+	}
+	if err := Verify(p, ce); err != nil {
+		t.Errorf("Q18 answer does not verify: %v", err)
+	}
+}

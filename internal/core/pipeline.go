@@ -234,3 +234,14 @@ func (p Problem) withHavingParams() Problem {
 	p.Q1, p.Q2, p.Params = q1, q2, params
 	return p
 }
+
+// rewrites returns pp's queries, pp being p.withHavingParams(), for a
+// Counterexample's Q1 and Q2 when either was rewritten, and nils otherwise:
+// an answer then holds no query of its own, and readers fall back to the
+// problem's.
+func (p Problem) rewrites(pp Problem) (q1, q2 ra.Node) {
+	if pp.Q1 == p.Q1 && pp.Q2 == p.Q2 {
+		return nil, nil
+	}
+	return pp.Q1, pp.Q2
+}

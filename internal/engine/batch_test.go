@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ra"
@@ -147,7 +148,7 @@ func TestScanCacheSelfJoin(t *testing.T) {
 	// NULL-free tuples of R.
 	var nullFree []relation.Tuple
 	for _, tup := range r.Tuples {
-		if !hasNullValue(tup) {
+		if !slices.ContainsFunc(tup, relation.Value.IsNull) {
 			nullFree = append(nullFree, tup)
 		}
 	}

@@ -228,24 +228,21 @@ func (c *deltaCtx) scan(x *ra.Rel, st *nodeState) *Rel[Count] {
 	return d
 }
 
-// probe calls fn for every retained position on the other side of a join
-// that can match t: its key bucket when the join has equi-keys, every
-// position otherwise (cross products, residual-only θ-joins — still
-// proportional to one side's size, not the whole plan).
-func probe(idx map[string][]int, keys []int, t relation.Tuple, n int, fn func(i int) error) error {
+// probe calls fn for every retained position of other, the other side of a
+// join, that can match t: the positions idx matches on the key columns of t
+// when the join has equi-keys, every position otherwise (cross products,
+// residual-only θ-joins — still proportional to one side's size, not the
+// whole plan).
+func probe(idx *keyIndex, other *Rel[Count], keys []int, t relation.Tuple, fn func(i int) error) error {
 	if len(keys) == 0 {
-		for i := 0; i < n; i++ {
+		for i := 0; i < other.Len(); i++ {
 			if err := fn(i); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	k := t.Project(keys)
-	if hasNullValue(k) {
-		return nil
-	}
-	for _, i := range idx[k.Key()] {
+	for _, i := range idx.lookup(other.Tuples, t, keys, nil) {
 		if err := fn(i); err != nil {
 			return err
 		}
@@ -267,8 +264,8 @@ func (c *deltaCtx) join(q ra.Node, st *nodeState) (*Rel[Count], error) {
 	l, r := c.p.state[lq].out, c.p.state[rq].out
 	j := st.join
 	if len(j.spec.lKeys) > 0 {
-		j.lSynced = indexKeys(j.lIdx, l, j.spec.lKeys, j.lSynced)
-		j.rSynced = indexKeys(j.rIdx, r, j.spec.rKeys, j.rSynced)
+		j.lIdx.sync(l.Tuples)
+		j.rIdx.sync(r.Tuples)
 	}
 	d := NewRel[Count](j.spec.schema)
 	// emit adds one pair's signed contribution. It polls the budget stop
@@ -292,7 +289,7 @@ func (c *deltaCtx) join(q ra.Node, st *nodeState) (*Rel[Count], error) {
 	// ΔL ⋈ R and L ⋈ ΔR each probe the other side's retained index.
 	for i, lt := range dl.Tuples {
 		if n := dl.Anns[i]; n != 0 {
-			if err := probe(j.rIdx, j.spec.lKeys, lt, r.Len(), func(ri int) error {
+			if err := probe(j.rIdx, r, j.spec.lKeys, lt, func(ri int) error {
 				return emit(lt, r.Tuples[ri], exactMul(n, r.Anns[ri]))
 			}); err != nil {
 				return nil, err
@@ -301,7 +298,7 @@ func (c *deltaCtx) join(q ra.Node, st *nodeState) (*Rel[Count], error) {
 	}
 	for i, rt := range dr.Tuples {
 		if n := dr.Anns[i]; n != 0 {
-			if err := probe(j.lIdx, j.spec.rKeys, rt, l.Len(), func(li int) error {
+			if err := probe(j.lIdx, l, j.spec.rKeys, rt, func(li int) error {
 				return emit(l.Tuples[li], rt, exactMul(l.Anns[li], n))
 			}); err != nil {
 				return nil, err

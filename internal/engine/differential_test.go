@@ -135,9 +135,9 @@ func refEval[T any](s Semiring[T], q ra.Node, db *relation.Database, params map[
 			for ri, rt := range r.tuples {
 				match := true
 				for _, p := range shared {
-					lv, rv := lt[p[0]], rt[p[1]]
-					// NULLs never join.
-					if lv.IsNull() || rv.IsNull() || !lv.Identical(rv) {
+					// Shared columns compare as `=` does: NULLs never
+					// join, and numbers compare by value across kinds.
+					if !lt[p[0]].Equal(rt[p[1]]) {
 						match = false
 						break
 					}
@@ -339,6 +339,53 @@ func randomDB(rng *rand.Rand) *relation.Database {
 	return db
 }
 
+// randomMixedDB is randomDB with mixed numeric kinds: S holds floats in a
+// and b, R and T ints, so joins, selections and key probes compare ints
+// with floats. b's domain includes ints beyond 2^53 beside their float64
+// rounding (2^53 + 1 rounds to the float 2^53), where `=` is exact.
+func randomMixedDB(rng *rand.Rand) *relation.Database {
+	db := relation.NewDatabase()
+	strs := []string{"x", "y", "z"}
+	const big = 1 << 53
+	ints := []relation.Value{relation.Int(0), relation.Int(1), relation.Int(2), relation.Int(big), relation.Int(big + 1)}
+	floats := []relation.Value{relation.Float(0), relation.Float(1), relation.Float(2), relation.Float(0.5), relation.Float(big)}
+	for _, name := range []string{"R", "S", "T"} {
+		kind, bs := relation.KindInt, ints
+		if name == "S" {
+			kind, bs = relation.KindFloat, floats
+		}
+		db.CreateRelation(name, relation.NewSchema(
+			relation.Attr("a", kind),
+			relation.Attr("b", kind),
+			relation.Attr("c", relation.KindString)))
+		n := 3 + rng.Intn(8)
+		for i := 0; i < n; i++ {
+			a := relation.Int(int64(rng.Intn(4)))
+			if kind == relation.KindFloat {
+				a = relation.Float(float64(rng.Intn(4)))
+			}
+			b := relation.Null()
+			if rng.Intn(7) != 0 {
+				b = bs[rng.Intn(len(bs))]
+			}
+			c := relation.Null()
+			if rng.Intn(7) != 0 {
+				c = relation.String(strs[rng.Intn(len(strs))])
+			}
+			db.Insert(name, relation.NewTuple(a, b, c))
+		}
+	}
+	return db
+}
+
+// randomInstance draws randomDB or randomMixedDB.
+func randomInstance(rng *rand.Rand) *relation.Database {
+	if rng.Intn(2) == 0 {
+		return randomMixedDB(rng)
+	}
+	return randomDB(rng)
+}
+
 // randomCompat generates a random plan whose output schema stays (a, b, c),
 // so union/difference operands are always compatible.
 func randomCompat(rng *rand.Rand, depth int) ra.Node {
@@ -382,10 +429,12 @@ func randomPred(rng *rand.Rand, qual string) ra.Expr {
 
 // randomPlan optionally tops a compatible plan with a theta equi-join
 // (exercising the hash equi-join path, including NULL join keys and
-// residual conditions) and/or a projection.
+// residual conditions), a join or selection over a cross product whose
+// names are bare on the left and qualified on the right, and/or a
+// projection.
 func randomPlan(rng *rand.Rand) ra.Node {
 	q := randomCompat(rng, 2)
-	switch rng.Intn(3) {
+	switch rng.Intn(4) {
 	case 0:
 		cond := ra.Expr(&ra.Cmp{Op: ra.EQ, L: &ra.AttrRef{Name: "u.a"}, R: &ra.AttrRef{Name: "v.a"}})
 		if rng.Intn(2) == 0 {
@@ -408,6 +457,44 @@ func randomPlan(rng *rand.Rand) ra.Node {
 		}
 	case 1:
 		q = &ra.Project{Cols: []string{"a", "c"}, In: q}
+	case 2:
+		q = randomBareQualified(rng, q, randomCompat(rng, 1))
+	}
+	return q
+}
+
+// randomBareQualified joins l, whose names stay bare, with r renamed m, on
+// equalities that name a base name both ways, as TPC-H Q21's
+// `join[l_orderkey = m.l_orderkey]` does: either as a θ-join condition or
+// as a selection over their cross product, which the optimizer pushes into
+// the join.
+func randomBareQualified(rng *rand.Rand, l, r ra.Node) ra.Node {
+	eq := func(col string) ra.Expr {
+		x, y := &ra.AttrRef{Name: col}, &ra.AttrRef{Name: "m." + col}
+		if rng.Intn(2) == 0 {
+			return &ra.Cmp{Op: ra.EQ, L: x, R: y}
+		}
+		return &ra.Cmp{Op: ra.EQ, L: y, R: x}
+	}
+	kids := []ra.Expr{eq([]string{"a", "b"}[rng.Intn(2)])}
+	if rng.Intn(2) == 0 {
+		kids = append(kids, eq("c"))
+	}
+	if rng.Intn(3) == 0 {
+		// A one-sided conjunct on a qualified name, which must reach the
+		// right input only.
+		kids = append(kids, &ra.Cmp{Op: ra.NE, L: &ra.AttrRef{Name: "m.b"}, R: &ra.Const{Val: relation.Int(1)}})
+	}
+	rm := &ra.Rename{As: "m", In: r}
+	var q ra.Node
+	if rng.Intn(2) == 0 {
+		q = &ra.Join{L: l, R: rm, Cond: andOf(kids)}
+	} else {
+		cross := &ra.Cmp{Op: ra.EQ, L: &ra.Const{Val: relation.Int(1)}, R: &ra.Const{Val: relation.Int(1)}}
+		q = &ra.Select{Pred: andOf(kids), In: &ra.Join{L: l, R: rm, Cond: cross}}
+	}
+	if rng.Intn(2) == 0 {
+		q = &ra.Project{Cols: []string{"a", "m.c"}, In: q}
 	}
 	return q
 }
@@ -460,7 +547,7 @@ func sameKeySets(a, b map[string]bool) bool {
 func TestDifferentialSetSemiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(20190701))
 	for trial := 0; trial < 300; trial++ {
-		db := randomDB(rng)
+		db := randomInstance(rng)
 		q := randomPlan(rng)
 		want, err := refEval[bool](Set, q, db, nil)
 		if err != nil {
@@ -481,7 +568,7 @@ func TestDifferentialSetSemiring(t *testing.T) {
 func TestDifferentialCountSemiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(8086))
 	for trial := 0; trial < 300; trial++ {
-		db := randomDB(rng)
+		db := randomInstance(rng)
 		q := randomPlan(rng)
 		want, err := refEval[Count](Counting, q, db, nil)
 		if err != nil {
@@ -515,7 +602,7 @@ func TestDifferentialCountSemiring(t *testing.T) {
 func TestDifferentialWhySemiring(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 150; trial++ {
-		db := randomDB(rng)
+		db := randomInstance(rng)
 		q := randomPlan(rng)
 		want, err := refEval(Why, q, db, nil)
 		if err != nil {

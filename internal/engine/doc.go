@@ -25,6 +25,23 @@
 // Invariant: operators never mutate their inputs, so relations — including
 // the caller's database — may be shared across concurrent evaluations.
 //
+// # Join keys
+//
+// A conjunct x = y of a θ-join condition is a hash key exactly when x and y
+// resolve, in the concatenated schema the residual is compiled against, to
+// columns on opposite sides (ra.EquiKeys); the evaluator's joins
+// ([EquiJoinPlan]) and the planner's join regions (ra.FlattenJoin) take
+// their keys from that one rule, and a natural join's keys are its shared
+// columns. The optimizer moves a selection conjunct below an operator only
+// where its names read the same columns there. Every key probe — the hash
+// join's build and probe, the planner's semi-joins, the delta rule's
+// retained indexes and [FirstDiff]'s probes — goes through one equi-key
+// index that hashes numbers by value and confirms each candidate with
+// relation.Value.Equal, so keys compare exactly as `=` does: Int(1) matches
+// Float(1.0), an int beyond 2^53 does not match its float64 rounding, and
+// NULL matches nothing. ∪, −, γ and deduplication keep identity
+// (relation.Value.Identical).
+//
 // # Shared subexpressions
 //
 // Every entry point — [RunOpts] and the functions built on it, [EvalPair],
@@ -74,8 +91,8 @@
 //
 // [PrepareDiff] evaluates Q1 − Q2 and Q2 − Q1 once, through the same
 // operators under the counting semiring, in a retained mode that keeps
-// every plan node's output, the compiled predicates and the hash join's key
-// indexes. [PreparedDiff.ApplyDelta] propagates one signed update —
+// every plan node's output, the compiled predicates and the equi-key
+// indexes over each hash join's inputs. [PreparedDiff.ApplyDelta] propagates one signed update —
 // deletions plus insertions, updates expressed as delete+insert — by
 // running the same plan again under the ring ℤ, so that every node yields
 // the change of its output: σ, π, ρ, ∪ and the planner's Permute are the

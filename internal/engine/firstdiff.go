@@ -242,7 +242,6 @@ func (s *joinStream) produces(t relation.Tuple) (bool, error) {
 	if len(t) != len(s.cols) {
 		return false, nil
 	}
-	key := t.Key()
 	for _, di := range s.d.candidates(t) {
 		dt := s.d.rel.Tuples[di]
 		for _, oi := range s.o.matches(dt, s.d.keys, t) {
@@ -266,7 +265,7 @@ func (s *joinStream) produces(t relation.Tuple) (bool, error) {
 			if err != nil {
 				return false, err
 			}
-			if ok && out.Key() == key {
+			if ok && out.Identical(t) {
 				return true, nil
 			}
 		}
@@ -281,12 +280,12 @@ var errWitness = errors.New("engine: witness found")
 // materialized join would emit them, and returns the first output r1 lacks,
 // or nil when there is none.
 func (s *joinStream) first(r1 *Rel[bool]) (relation.Tuple, error) {
-	var rIdx map[string][]int
+	var rIdx *keyIndex
 	if !s.dRight && len(s.o.fixed) == 0 {
 		rIdx = s.o.byKeyFixed // the right's key index, when the probe built it
 	}
 	var w relation.Tuple
-	err := s.e.joinPairs(s.spec, s.l, s.r, rIdx, func(t relation.Tuple, _ bool) error {
+	err := s.e.joinPairs(s.spec, s.l, s.r, rIdx, func(_, _ int, t relation.Tuple, _ bool) error {
 		out, ok, err := s.apply(t)
 		if err != nil || !ok {
 			return err
@@ -311,9 +310,16 @@ type probeSide struct {
 	// in that tuple of their values.
 	fixed, tpos []int
 	// every, byFixed and byKeyFixed are built on first use: every position,
-	// positions by fixed values, and positions by key and fixed values.
+	// an index on the fixed values, and an index on the key and fixed
+	// values. Keys compare as `=` does and fixed values by identity, so a
+	// NULL a probed tuple holds matches a NULL.
 	every               []int
-	byFixed, byKeyFixed map[string][]int
+	byFixed, byKeyFixed *keyIndex
+	// probe holds a key and fixed values to look up, and probeCols its
+	// positions; cbuf and mbuf hold the positions a lookup returns.
+	probe      relation.Tuple
+	probeCols  []int
+	cbuf, mbuf []int
 }
 
 // candidates returns the positions whose fixed columns hold t's values:
@@ -329,9 +335,10 @@ func (p *probeSide) candidates(t relation.Tuple) []int {
 		return p.every
 	}
 	if p.byFixed == nil {
-		p.byFixed = positionsBy(p.rel, p.fixed, 0)
+		p.byFixed = newKeyIndex(p.rel.Tuples, p.fixed, 0)
 	}
-	return p.byFixed[t.Project(p.tpos).Key()]
+	p.cbuf = p.byFixed.lookup(p.rel.Tuples, t, p.tpos, p.cbuf[:0])
+	return p.cbuf
 }
 
 // matches returns the candidates for t that also join the other side's
@@ -340,27 +347,21 @@ func (p *probeSide) matches(d relation.Tuple, dKeys []int, t relation.Tuple) []i
 	if len(p.keys) == 0 {
 		return p.candidates(t)
 	}
-	k := d.Project(dKeys)
-	if hasNullValue(k) {
-		return nil
-	}
 	if p.byKeyFixed == nil {
-		p.byKeyFixed = positionsBy(p.rel, append(slices.Clip(p.keys), p.fixed...), len(p.keys))
-	}
-	return p.byKeyFixed[append(k, t.Project(p.tpos)...).Key()]
-}
-
-// positionsBy indexes rel's positions by their values in cols. Tuples with
-// a NULL in one of the first nKeys columns are left out: like the hash
-// join's, they never match an equi-key. NULLs elsewhere are values a
-// probed tuple may hold.
-func positionsBy(rel *Rel[bool], cols []int, nKeys int) map[string][]int {
-	idx := make(map[string][]int, rel.Len())
-	for i, t := range rel.Tuples {
-		if k := t.Project(cols); !hasNullValue(k[:nKeys]) {
-			key := k.Key()
-			idx[key] = append(idx[key], i)
+		cols := append(slices.Clip(p.keys), p.fixed...)
+		p.byKeyFixed = newKeyIndex(p.rel.Tuples, cols, len(p.keys))
+		p.probeCols = make([]int, len(cols))
+		for i := range p.probeCols {
+			p.probeCols[i] = i
 		}
 	}
-	return idx
+	p.probe = p.probe[:0]
+	for _, c := range dKeys {
+		p.probe = append(p.probe, d[c])
+	}
+	for _, c := range p.tpos {
+		p.probe = append(p.probe, t[c])
+	}
+	p.mbuf = p.byKeyFixed.lookup(p.rel.Tuples, p.probe, p.probeCols, p.mbuf[:0])
+	return p.mbuf
 }

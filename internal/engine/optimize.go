@@ -19,7 +19,7 @@ func Optimize(n ra.Node, cat ra.Catalog) ra.Node {
 		return x
 	case *ra.Select:
 		in := Optimize(x.In, cat)
-		return pushSelect(conjuncts(x.Pred), in, cat)
+		return pushSelect(ra.Conjuncts(x.Pred), in, cat)
 	case *ra.Project:
 		return &ra.Project{Cols: x.Cols, In: Optimize(x.In, cat)}
 	case *ra.Rename:
@@ -41,18 +41,6 @@ func Optimize(n ra.Node, cat ra.Catalog) ra.Node {
 	return n
 }
 
-// conjuncts flattens a predicate into its top-level conjuncts.
-func conjuncts(e ra.Expr) []ra.Expr {
-	if a, ok := e.(*ra.And); ok {
-		var out []ra.Expr
-		for _, k := range a.Kids {
-			out = append(out, conjuncts(k)...)
-		}
-		return out
-	}
-	return []ra.Expr{e}
-}
-
 func andOf(es []ra.Expr) ra.Expr {
 	switch len(es) {
 	case 0:
@@ -63,44 +51,84 @@ func andOf(es []ra.Expr) ra.Expr {
 	return &ra.And{Kids: es}
 }
 
-// exprResolvable reports whether every attribute reference in e resolves
-// unambiguously in the schema.
-func exprResolvable(e ra.Expr, s relation.Schema) bool {
-	ok := true
-	var walk func(ra.Expr)
-	walk = func(x ra.Expr) {
-		if !ok {
-			return
+// readsSame reports whether every attribute name in e resolves in out, an
+// operator's output schema, to a column that from maps to a column of in,
+// and resolves in in to that very column. e then reads the same values
+// below the operator as above it, so it may move there. from returns -1 for
+// an output column that does not come from in. A name that is ambiguous or
+// unknown in out keeps e where it is, so it fails as it would unoptimized.
+func readsSame(e ra.Expr, out, in relation.Schema, from func(int) int) bool {
+	return eachAttr(e, func(name string) bool {
+		i, err := out.Resolve(name)
+		if err != nil {
+			return false
 		}
-		switch y := x.(type) {
-		case *ra.AttrRef:
-			if _, err := s.Resolve(y.Name); err != nil {
-				ok = false
+		c := from(i)
+		j, err := in.Resolve(name)
+		return c >= 0 && err == nil && j == c
+	})
+}
+
+// eachAttr calls fn on every attribute name in e, and reports whether fn
+// held for all of them.
+func eachAttr(e ra.Expr, fn func(string) bool) bool {
+	switch x := e.(type) {
+	case *ra.AttrRef:
+		return fn(x.Name)
+	case *ra.Cmp:
+		return eachAttr(x.L, fn) && eachAttr(x.R, fn)
+	case *ra.Arith:
+		return eachAttr(x.L, fn) && eachAttr(x.R, fn)
+	case *ra.Not:
+		return eachAttr(x.Kid, fn)
+	case *ra.And:
+		for _, k := range x.Kids {
+			if !eachAttr(k, fn) {
+				return false
 			}
-		case *ra.Cmp:
-			walk(y.L)
-			walk(y.R)
-		case *ra.And:
-			for _, k := range y.Kids {
-				walk(k)
+		}
+	case *ra.Or:
+		for _, k := range x.Kids {
+			if !eachAttr(k, fn) {
+				return false
 			}
-		case *ra.Or:
-			for _, k := range y.Kids {
-				walk(k)
-			}
-		case *ra.Not:
-			walk(y.Kid)
-		case *ra.Arith:
-			walk(y.L)
-			walk(y.R)
 		}
 	}
-	walk(e)
-	return ok
+	return true
+}
+
+// joinSides returns, for a join over inputs with schemas l and r, its output
+// schema and the maps from an output column to the left and to the right
+// input's column (-1 for a column of the other side). A natural join's
+// shared columns are the left's.
+func joinSides(x *ra.Join, l, r relation.Schema) (out relation.Schema, fromL, fromR func(int) int) {
+	n := l.Arity()
+	fromL = func(i int) int {
+		if i < n {
+			return i
+		}
+		return -1
+	}
+	if x.Cond != nil {
+		return l.Concat(r), fromL, func(i int) int { return i - n }
+	}
+	_, rOnly := ra.NaturalJoinCols(l, r)
+	out = relation.Schema{Attrs: append([]relation.Attribute(nil), l.Attrs...)}
+	for _, j := range rOnly {
+		out.Attrs = append(out.Attrs, r.Attrs[j])
+	}
+	return out, fromL, func(i int) int {
+		if i < n {
+			return -1
+		}
+		return rOnly[i-n]
+	}
 }
 
 // pushSelect pushes selection conjuncts into the operator tree as far as
-// they go; conjuncts that cannot be pushed stay in a Select above `in`.
+// they go; conjuncts that cannot be pushed stay in a Select above `in`. A
+// conjunct moves below an operator only where it reads the same columns
+// there (readsSame).
 func pushSelect(preds []ra.Expr, in ra.Node, cat ra.Catalog) ra.Node {
 	if len(preds) == 0 {
 		return in
@@ -108,119 +136,109 @@ func pushSelect(preds []ra.Expr, in ra.Node, cat ra.Catalog) ra.Node {
 	switch x := in.(type) {
 	case *ra.Select:
 		// Merge and retry below.
-		return pushSelect(append(preds, conjuncts(x.Pred)...), x.In, cat)
+		return pushSelect(append(preds, ra.Conjuncts(x.Pred)...), x.In, cat)
 	case *ra.Project:
-		// Projection column names are references into the child schema, so
-		// the predicates (which type-check against the projection output)
-		// also type-check against the child.
 		childSchema, err := ra.OutSchema(x.In, cat)
-		if err == nil {
-			var pushable, blocked []ra.Expr
-			for _, p := range preds {
-				if exprResolvable(p, childSchema) {
-					pushable = append(pushable, p)
-				} else {
-					blocked = append(blocked, p)
-				}
-			}
-			if len(pushable) > 0 {
-				out := ra.Node(&ra.Project{Cols: x.Cols, In: pushSelect(pushable, x.In, cat)})
-				if len(blocked) > 0 {
-					out = &ra.Select{Pred: andOf(blocked), In: out}
-				}
-				return out
-			}
+		if err != nil {
+			break
+		}
+		idxs, out, err := projectPlan(x, childSchema)
+		if err != nil {
+			break
+		}
+		pushable, blocked := splitPreds(preds, func(p ra.Expr) bool {
+			return readsSame(p, out, childSchema, func(i int) int { return idxs[i] })
+		})
+		if len(pushable) > 0 {
+			return selectAbove(blocked, &ra.Project{Cols: x.Cols, In: pushSelect(pushable, x.In, cat)})
 		}
 	case *ra.Rename:
 		childSchema, err := ra.OutSchema(x.In, cat)
-		if err == nil {
-			var pushable, blocked []ra.Expr
-			for _, p := range preds {
-				if exprResolvable(p, childSchema) {
-					pushable = append(pushable, p)
-				} else {
-					blocked = append(blocked, p)
-				}
-			}
-			if len(pushable) > 0 {
-				out := ra.Node(&ra.Rename{As: x.As, In: pushSelect(pushable, x.In, cat)})
-				if len(blocked) > 0 {
-					out = &ra.Select{Pred: andOf(blocked), In: out}
-				}
-				return out
-			}
+		if err != nil {
+			break
+		}
+		out := childSchema.Qualify(x.As)
+		pushable, blocked := splitPreds(preds, func(p ra.Expr) bool {
+			return readsSame(p, out, childSchema, func(i int) int { return i })
+		})
+		if len(pushable) > 0 {
+			return selectAbove(blocked, &ra.Rename{As: x.As, In: pushSelect(pushable, x.In, cat)})
 		}
 	case *ra.Join:
 		lSchema, errL := ra.OutSchema(x.L, cat)
 		rSchema, errR := ra.OutSchema(x.R, cat)
-		if errL == nil && errR == nil {
-			var toL, toR, toCond, blocked []ra.Expr
-			for _, p := range preds {
-				inL := exprResolvable(p, lSchema)
-				inR := exprResolvable(p, rSchema)
-				switch {
-				case inL && inR:
-					// Shared (natural-join) attributes: either side works;
-					// push left and keep correctness via the join itself.
-					toL = append(toL, p)
-				case inL:
-					toL = append(toL, p)
-				case inR:
-					toR = append(toR, p)
-				default:
-					// Spans both sides: attach to the join condition when
-					// the join is a theta join; for a natural join the
-					// concatenated schema may rename shared columns, so
-					// keep it above unless resolvable on the concatenated
-					// schema.
-					joinSchema, err := ra.OutSchema(x, cat)
-					if err == nil && exprResolvable(p, joinSchema) {
-						toCond = append(toCond, p)
-					} else {
-						blocked = append(blocked, p)
-					}
-				}
-			}
-			nl := x.L
-			if len(toL) > 0 {
-				nl = pushSelect(toL, x.L, cat)
-			}
-			nr := x.R
-			if len(toR) > 0 {
-				nr = pushSelect(toR, x.R, cat)
-			}
-			cond := x.Cond
-			if len(toCond) > 0 {
-				if x.Cond == nil {
-					// Turning a natural join into a theta join would change
-					// the schema; keep the predicates above instead.
-					blocked = append(blocked, toCond...)
-				} else {
-					cond = andOf(append([]ra.Expr{x.Cond}, toCond...))
-				}
-			}
-			out := ra.Node(&ra.Join{L: nl, R: nr, Cond: cond})
-			if len(blocked) > 0 {
-				out = &ra.Select{Pred: andOf(blocked), In: out}
-			}
-			return out
+		if errL != nil || errR != nil {
+			break
 		}
+		out, fromL, fromR := joinSides(x, lSchema, rSchema)
+		var toL, toR, toCond, blocked []ra.Expr
+		for _, p := range preds {
+			switch {
+			case readsSame(p, out, lSchema, fromL):
+				toL = append(toL, p)
+			case readsSame(p, out, rSchema, fromR):
+				toR = append(toR, p)
+			case x.Cond != nil && readsSame(p, out, out, func(i int) int { return i }):
+				// Spans both sides of a theta join: attach it to the join
+				// condition, which reads the concatenated schema. Turning
+				// a natural join into a theta join would change the
+				// schema, so there the predicate stays above.
+				toCond = append(toCond, p)
+			default:
+				blocked = append(blocked, p)
+			}
+		}
+		nl := x.L
+		if len(toL) > 0 {
+			nl = pushSelect(toL, x.L, cat)
+		}
+		nr := x.R
+		if len(toR) > 0 {
+			nr = pushSelect(toR, x.R, cat)
+		}
+		cond := x.Cond
+		if len(toCond) > 0 {
+			cond = andOf(append([]ra.Expr{x.Cond}, toCond...))
+		}
+		return selectAbove(blocked, &ra.Join{L: nl, R: nr, Cond: cond})
 	}
 	return &ra.Select{Pred: andOf(preds), In: in}
 }
 
+// splitPreds splits preds into those ok accepts and the rest.
+func splitPreds(preds []ra.Expr, ok func(ra.Expr) bool) (yes, no []ra.Expr) {
+	for _, p := range preds {
+		if ok(p) {
+			yes = append(yes, p)
+		} else {
+			no = append(no, p)
+		}
+	}
+	return yes, no
+}
+
+// selectAbove puts the predicates, if any, in a Select over n.
+func selectAbove(preds []ra.Expr, n ra.Node) ra.Node {
+	if len(preds) == 0 {
+		return n
+	}
+	return &ra.Select{Pred: andOf(preds), In: n}
+}
+
 // distributeJoinCond pushes one-sided conjuncts of a theta-join condition
-// into the corresponding side.
+// into the corresponding side, under pushSelect's rule. A conjunct that
+// names no attribute reads the same on both sides and stays.
 func distributeJoinCond(j *ra.Join, cat ra.Catalog) ra.Node {
 	lSchema, errL := ra.OutSchema(j.L, cat)
 	rSchema, errR := ra.OutSchema(j.R, cat)
 	if errL != nil || errR != nil {
 		return j
 	}
+	out, fromL, fromR := joinSides(j, lSchema, rSchema)
 	var toL, toR, keep []ra.Expr
-	for _, p := range conjuncts(j.Cond) {
-		inL := exprResolvable(p, lSchema)
-		inR := exprResolvable(p, rSchema)
+	for _, p := range ra.Conjuncts(j.Cond) {
+		inL := readsSame(p, out, lSchema, fromL)
+		inR := readsSame(p, out, rSchema, fromR)
 		switch {
 		case inL && !inR:
 			toL = append(toL, p)
@@ -249,40 +267,10 @@ func distributeJoinCond(j *ra.Join, cat ra.Catalog) ra.Node {
 	return &ra.Join{L: nl, R: nr, Cond: cond}
 }
 
-// EquiJoinPlan extracts hash-join key pairs from a theta-join condition:
-// equality conjuncts whose two attribute references resolve on opposite
-// sides. It returns the key column indices and the residual predicate (nil
-// if none).
+// EquiJoinPlan extracts hash-join key pairs from a theta-join condition
+// under ra.EquiKeys' rule. It returns the key column indices and the
+// residual predicate (nil if none).
 func EquiJoinPlan(cond ra.Expr, lSchema, rSchema relation.Schema) (lKeys, rKeys []int, residual ra.Expr) {
-	var rest []ra.Expr
-	for _, p := range conjuncts(cond) {
-		if c, ok := p.(*ra.Cmp); ok && c.Op == ra.EQ {
-			la, lok := c.L.(*ra.AttrRef)
-			rb, rok := c.R.(*ra.AttrRef)
-			if lok && rok {
-				li, lerr := lSchema.Resolve(la.Name)
-				ri, rerr := rSchema.Resolve(rb.Name)
-				if lerr == nil && rerr == nil && !resolvesIn(rb.Name, lSchema) && !resolvesIn(la.Name, rSchema) {
-					lKeys = append(lKeys, li)
-					rKeys = append(rKeys, ri)
-					continue
-				}
-				// Try the mirrored orientation.
-				li2, lerr2 := lSchema.Resolve(rb.Name)
-				ri2, rerr2 := rSchema.Resolve(la.Name)
-				if lerr2 == nil && rerr2 == nil && !resolvesIn(la.Name, lSchema) && !resolvesIn(rb.Name, rSchema) {
-					lKeys = append(lKeys, li2)
-					rKeys = append(rKeys, ri2)
-					continue
-				}
-			}
-		}
-		rest = append(rest, p)
-	}
+	lKeys, rKeys, rest := ra.EquiKeys(cond, lSchema, rSchema)
 	return lKeys, rKeys, andOf(rest)
-}
-
-func resolvesIn(name string, s relation.Schema) bool {
-	_, err := s.Resolve(name)
-	return err == nil
 }

@@ -26,15 +26,14 @@ type joinSpec struct {
 }
 
 // joinIndex is a join node's plan, kept by an exec that keeps plans
-// (PrepareDiff's), with a key index (key → positions) over each input's
-// retained output for the join delta rule; the base evaluation's hash join
-// probes the right one. Both are extended on every update to the positions
-// commits appended since the watermarks: tuples resurrected through a Diff
-// keep their old, already-indexed position.
+// (PrepareDiff's), with an equi-key index over each input's retained output
+// for the join delta rule; the base evaluation's hash join probes the right
+// one. Both are extended on every update to the positions commits appended
+// since: tuples resurrected through a Diff keep their old, already-indexed
+// position.
 type joinIndex struct {
-	spec             *joinSpec
-	lIdx, rIdx       map[string][]int
-	lSynced, rSynced int
+	spec       *joinSpec
+	lIdx, rIdx *keyIndex
 }
 
 // joinInputs returns a join node's two inputs.
@@ -139,10 +138,8 @@ func (e *exec[T]) evalJoinInputs(q ra.Node) (*joinIndex, *Rel[T], *Rel[T], error
 		}
 		j = &joinIndex{spec: spec}
 		if e.plans != nil && len(spec.lKeys) > 0 {
-			j.lIdx = make(map[string][]int, l.Len())
-			j.lSynced = indexKeys(j.lIdx, l, spec.lKeys, 0)
-			j.rIdx = make(map[string][]int, r.Len())
-			j.rSynced = indexKeys(j.rIdx, r, spec.rKeys, 0)
+			j.lIdx = newKeyIndex(l.Tuples, spec.lKeys, len(spec.lKeys))
+			j.rIdx = newKeyIndex(r.Tuples, spec.rKeys, len(spec.rKeys))
 		}
 		e.keep(q, j)
 	}
@@ -152,15 +149,24 @@ func (e *exec[T]) evalJoinInputs(q ra.Node) (*joinIndex, *Rel[T], *Rel[T], error
 // join materializes a join plan's output. rIdx, when non-nil, is the hash
 // join's key index over r, already built. A natural cross product whose
 // size alone exceeds the row budget is refused before any pair is formed.
-func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T], error) {
+func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx *keyIndex) (*Rel[T], error) {
 	if j.natural && len(j.lKeys) == 0 && crossExceedsBudget(l.Len(), r.Len(), e.opts.rowBudget()) {
 		return nil, ErrRowBudget
 	}
 	out := NewRel[T](j.schema)
-	err := e.joinPairs(j, l, r, rIdx, func(t relation.Tuple, ann T) error {
-		// Distinct pairs of distinct inputs form distinct tuples (a natural
-		// join's matched pair agrees on the shared columns).
-		out.appendDistinct(t, ann)
+	merge := false
+	err := e.joinPairs(j, l, r, rIdx, func(li, ri int, t relation.Tuple, ann T) error {
+		// Distinct pairs of distinct inputs form distinct tuples, except
+		// where a natural join drops a right key value that is Equal but
+		// not identical to the left's (Float(1) beside Int(1)): two right
+		// tuples that differ only there form the same output. From the
+		// first such pair on, outputs ⊕-merge.
+		merge = merge || j.natural && !j.identicalKeys(l.Tuples[li], r.Tuples[ri])
+		if merge {
+			out.Add(e.s, t, ann)
+		} else {
+			out.appendDistinct(t, ann)
+		}
 		return nil
 	})
 	if err != nil {
@@ -169,13 +175,24 @@ func (e *exec[T]) join(j *joinSpec, l, r *Rel[T], rIdx map[string][]int) (*Rel[T
 	return out, nil
 }
 
+// identicalKeys reports whether a matched pair's key values are identical,
+// not merely Equal.
+func (j *joinSpec) identicalKeys(lt, rt relation.Tuple) bool {
+	for i, c := range j.lKeys {
+		if !lt[c].Identical(rt[j.rKeys[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
 // joinPairs is the join's emit loop: a hash join on the equi-keys when there
-// are any, nested loops otherwise. It hands every accepted pair's output
-// tuple and annotation to sink, in output order, and stops at the first
-// error sink returns. Materializing a join and streaming one (FirstDiff)
-// share it, so both count accepted pairs against the same row budget and
-// poll Stop on the same stride.
-func (e *exec[T]) joinPairs(j *joinSpec, l, r *Rel[T], rIdx map[string][]int, sink func(relation.Tuple, T) error) error {
+// are any, nested loops otherwise. It hands every accepted pair's input
+// positions, output tuple and annotation to sink, in output order, and
+// stops at the first error sink returns. Materializing a join and streaming
+// one (FirstDiff) share it, so both count accepted pairs against the same
+// row budget and poll Stop on the same stride.
+func (e *exec[T]) joinPairs(j *joinSpec, l, r *Rel[T], rIdx *keyIndex, sink func(li, ri int, t relation.Tuple, ann T) error) error {
 	if l.Len() == 0 || r.Len() == 0 {
 		return nil
 	}
@@ -216,47 +233,25 @@ func (e *exec[T]) joinPairs(j *joinSpec, l, r *Rel[T], rIdx map[string][]int, si
 		if t == nil {
 			t, _, _ = j.pair(l.Tuples[li], r.Tuples[ri])
 		}
-		return sink(t, ann)
+		return sink(li, ri, t, ann)
 	}
 	if len(j.lKeys) > 0 {
 		if rIdx == nil {
-			rIdx = make(map[string][]int, r.Len())
-			indexKeys(rIdx, r, j.rKeys, 0)
+			rIdx = newKeyIndex(r.Tuples, j.rKeys, len(j.rKeys))
 		}
-		return hashJoin(l, rIdx, j.lKeys, emit)
+		var buf []int
+		for li, lt := range l.Tuples {
+			buf = rIdx.lookup(r.Tuples, lt, j.lKeys, buf[:0])
+			for _, ri := range buf {
+				if err := emit(li, ri); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
 	}
 	for li := range l.Tuples {
 		for ri := range r.Tuples {
-			if err := emit(li, ri); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// indexKeys adds positions from..rel.Len() of rel to a join-key index (key
-// → positions) and returns rel.Len(), the index's new watermark. Tuples with
-// NULLs in any key column never join (SQL equality semantics) and stay out.
-func indexKeys[T any](idx map[string][]int, rel *Rel[T], keys []int, from int) int {
-	for i := from; i < rel.Len(); i++ {
-		k := rel.Tuples[i].Project(keys)
-		if !hasNullValue(k) {
-			idx[k.Key()] = append(idx[k.Key()], i)
-		}
-	}
-	return rel.Len()
-}
-
-// hashJoin probes the right input's key index with the left input's key
-// columns, invoking emit for every key match.
-func hashJoin[T any](l *Rel[T], rIdx map[string][]int, lKeys []int, emit func(li, ri int) error) error {
-	for li, lt := range l.Tuples {
-		k := lt.Project(lKeys)
-		if hasNullValue(k) {
-			continue
-		}
-		for _, ri := range rIdx[k.Key()] {
 			if err := emit(li, ri); err != nil {
 				return err
 			}
@@ -306,13 +301,4 @@ func (e *exec[T]) diff(l, r *Rel[T]) *Rel[T] {
 // product could slip past the budget check).
 func crossExceedsBudget(l, r, budget int) bool {
 	return l > 0 && r > budget/l
-}
-
-func hasNullValue(t relation.Tuple) bool {
-	for _, v := range t {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
 }

@@ -477,7 +477,7 @@ func (p *planner) leafStats(n ra.Node) (float64, []float64) {
 		if err != nil || len(dist) != schema.Arity() {
 			break
 		}
-		for _, c := range conjuncts(x.Pred) {
+		for _, c := range ra.Conjuncts(x.Pred) {
 			sel, eqCol := selectivityOf(c, schema, dist)
 			rows *= sel
 			if eqCol >= 0 {

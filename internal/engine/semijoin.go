@@ -10,31 +10,22 @@ import (
 // that restores a reordered region's original output schema.
 
 // semiJoin executes L ⋉ R: left tuples with at least one key match on the
-// right survive with their annotation untouched — a pure filter, sound for
-// every semiring. Left tuples with NULL key columns are dropped (they could
-// never survive the eventual equi-join on the same columns).
+// right, under the equi-key index's `=`, survive with their annotation
+// untouched — a pure filter, sound for every semiring. Left tuples with
+// NULL key columns are dropped (they could never survive the eventual
+// equi-join on the same columns).
 func (e *exec[T]) semiJoin(x *ra.Semi, l, r *Rel[T]) (*Rel[T], error) {
 	out := NewRelCap[T](l.Schema, l.Len())
-	keys := make(map[string]struct{}, r.Len())
-	for _, rt := range r.Tuples {
-		k := rt.Project(x.RKeys)
-		if hasNullValue(k) {
-			continue
-		}
-		keys[k.Key()] = struct{}{}
-	}
+	idx := newKeyIndex(r.Tuples, x.RKeys, len(x.RKeys))
 	var probed int
+	var buf []int
 	for i, t := range l.Tuples {
 		if probed++; probed%stopPollStride == 0 {
 			if err := e.opts.poll(); err != nil {
 				return nil, err
 			}
 		}
-		k := t.Project(x.LKeys)
-		if hasNullValue(k) {
-			continue
-		}
-		if _, ok := keys[k.Key()]; !ok {
+		if buf = idx.lookup(r.Tuples, t, x.LKeys, buf[:0]); len(buf) == 0 {
 			continue
 		}
 		// Output is a subset of the distinct left input.

@@ -263,8 +263,9 @@ func mutatedCopy(rng *rand.Rand, q ra.Node) ra.Node {
 
 // randomSharedPair draws two union-compatible plans that share a random
 // subtree, under a common top: none, a projection, a θ-join with a copy of
-// the shared subtree, or a three-way natural join region the planner
-// reorders.
+// the shared subtree, a three-way natural join region the planner
+// reorders, or a join with the renamed shared subtree on bare and qualified
+// names (randomBareQualified).
 func randomSharedPair(rng *rand.Rand) (ra.Node, ra.Node) {
 	shared := randomCompat(rng, 2)
 	q1 := randomSharing(rng, 3, shared)
@@ -273,7 +274,7 @@ func randomSharedPair(rng *rand.Rand) (ra.Node, ra.Node) {
 		q2 = mutatedCopy(rng, q1)
 	}
 	var top func(ra.Node) ra.Node
-	switch rng.Intn(4) {
+	switch rng.Intn(5) {
 	case 0:
 		return q1, q2
 	case 1:
@@ -284,9 +285,16 @@ func randomSharedPair(rng *rand.Rand) (ra.Node, ra.Node) {
 				L: &ra.Rename{As: "u", In: q}, R: &ra.Rename{As: "v", In: cloneNode(shared)},
 				Cond: &ra.Cmp{Op: ra.EQ, L: &ra.AttrRef{Name: "u.a"}, R: &ra.AttrRef{Name: "v.a"}}}}
 		}
-	default:
+	case 3:
 		top = func(q ra.Node) ra.Node {
 			return &ra.Join{L: &ra.Join{L: q, R: cloneNode(shared)}, R: &ra.Rel{Name: "T"}}
+		}
+	default:
+		// Bare names on the left, qualified on the right: the same draw
+		// for both queries, so that they share the top.
+		seed := rng.Int63()
+		top = func(q ra.Node) ra.Node {
+			return randomBareQualified(rand.New(rand.NewSource(seed)), q, cloneNode(shared))
 		}
 	}
 	return top(q1), top(q2)
@@ -576,7 +584,7 @@ func checkFirstDiff(t *testing.T, db *relation.Database, q1, q2 ra.Node, modes [
 func TestDifferentialShared(t *testing.T) {
 	rng := rand.New(rand.NewSource(1917))
 	for trial := 0; trial < 150; trial++ {
-		db := randomDB(rng)
+		db := randomInstance(rng)
 		q1, q2 := randomSharedPair(rng)
 		checkShared(t, rng, db, q1, q2)
 	}
@@ -614,7 +622,7 @@ func FuzzSharedEval(f *testing.F) {
 		var seed [8]byte
 		n := copy(seed[:], data)
 		rng := rand.New(rand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
-		db := randomDB(rng)
+		db := randomInstance(rng)
 		q1, q2 := randomSharedPair(rand.New(&byteSource{data: data[n:]}))
 		checkShared(t, rng, db, q1, q2)
 	})

@@ -45,13 +45,13 @@ func (g *JoinGraph) LeafOf(col int) int {
 
 // FlattenJoin flattens the maximal join region rooted at j. ok is false
 // when the region is not a pure conjunctive equi-join component: a join
-// condition with a non-equality (or not attribute-to-attribute, or
-// ambiguous) conjunct, or a cross product (a natural join with no shared
-// attributes, or a theta join with no extractable key pair — including the
-// vacuous 1=1 condition the optimizer leaves after distributing every
-// conjunct). The flattening mirrors EquiJoinPlan and NaturalJoinCols
-// exactly, so the constraint set is identical to what the unplanned
-// evaluator would enforce join-node by join-node.
+// condition with a conjunct EquiKeys leaves residual, or a cross product (a
+// natural join with no shared attributes, or a theta join with no key pair
+// — including the vacuous 1=1 condition the optimizer leaves after
+// distributing every conjunct). The flattening takes its keys from
+// EquiKeys and NaturalJoinCols, as the unplanned evaluator does, so the
+// constraint set is identical to what it would enforce join-node by
+// join-node.
 func FlattenJoin(j *Join, cat Catalog) (*JoinGraph, bool) {
 	g := &JoinGraph{}
 	out, ok := g.flatten(j, cat)
@@ -102,37 +102,14 @@ func (g *JoinGraph) flatten(n Node, cat Catalog) ([]int, bool) {
 		}
 		return out, true
 	}
-	eqs := 0
-	for _, p := range andConjuncts(j.Cond) {
-		c, isCmp := p.(*Cmp)
-		if !isCmp || c.Op != EQ {
-			return nil, false
-		}
-		la, lok := c.L.(*AttrRef)
-		rb, rok := c.R.(*AttrRef)
-		if !lok || !rok {
-			return nil, false
-		}
-		// Same orientation logic as EquiJoinPlan: each attribute must
-		// resolve on exactly one side.
-		li, lerr := lSchema.Resolve(la.Name)
-		ri, rerr := rSchema.Resolve(rb.Name)
-		if lerr == nil && rerr == nil && !resolvesInSchema(rb.Name, lSchema) && !resolvesInSchema(la.Name, rSchema) {
-			g.Eqs = append(g.Eqs, [2]int{lOut[li], rOut[ri]})
-			eqs++
-			continue
-		}
-		li2, lerr2 := lSchema.Resolve(rb.Name)
-		ri2, rerr2 := rSchema.Resolve(la.Name)
-		if lerr2 == nil && rerr2 == nil && !resolvesInSchema(la.Name, lSchema) && !resolvesInSchema(rb.Name, rSchema) {
-			g.Eqs = append(g.Eqs, [2]int{lOut[li2], rOut[ri2]})
-			eqs++
-			continue
-		}
+	lKeys, rKeys, residual := EquiKeys(j.Cond, lSchema, rSchema)
+	if len(residual) > 0 || len(lKeys) == 0 {
+		// A residual θ-predicate, or a cross product (e.g. the vacuous 1=1
+		// condition).
 		return nil, false
 	}
-	if eqs == 0 {
-		return nil, false // cross product (e.g. the vacuous 1=1 condition)
+	for i, li := range lKeys {
+		g.Eqs = append(g.Eqs, [2]int{lOut[li], rOut[rKeys[i]]})
 	}
 	return append(append([]int(nil), lOut...), rOut...), true
 }
@@ -147,19 +124,49 @@ func (g *JoinGraph) schemaAt(cols []int) relation.Schema {
 	return relation.Schema{Attrs: attrs}
 }
 
-// andConjuncts flattens a predicate into its top-level conjuncts.
-func andConjuncts(e Expr) []Expr {
+// EquiKeys splits a θ-join condition over the input schemas l and r into
+// hash-key pairs and residual conjuncts. It is the one rule that decides
+// join keys, for the evaluator's joins (engine.EquiJoinPlan) and for the
+// planner's join regions (FlattenJoin). A conjunct x = y is a key exactly
+// when x and y are attribute references that resolve, in the concatenated
+// schema l ++ r against which CompileExpr compiles the residual, to columns
+// on opposite sides: the key then compares the very columns the residual
+// would. lKeys[i] and rKeys[i] are positions in l and in r. Every other
+// conjunct is residual, an equality whose name is ambiguous or unknown in
+// l ++ r included, so it fails to compile as it would unoptimized.
+func EquiKeys(cond Expr, l, r relation.Schema) (lKeys, rKeys []int, residual []Expr) {
+	lr := l.Concat(r)
+	n := l.Arity()
+	for _, p := range Conjuncts(cond) {
+		if c, ok := p.(*Cmp); ok && c.Op == EQ {
+			x, xok := c.L.(*AttrRef)
+			y, yok := c.R.(*AttrRef)
+			if xok && yok {
+				i, errX := lr.Resolve(x.Name)
+				j, errY := lr.Resolve(y.Name)
+				if errX == nil && errY == nil && (i < n) != (j < n) {
+					if i > j {
+						i, j = j, i
+					}
+					lKeys = append(lKeys, i)
+					rKeys = append(rKeys, j-n)
+					continue
+				}
+			}
+		}
+		residual = append(residual, p)
+	}
+	return lKeys, rKeys, residual
+}
+
+// Conjuncts flattens a predicate into its top-level conjuncts.
+func Conjuncts(e Expr) []Expr {
 	if a, ok := e.(*And); ok {
 		var out []Expr
 		for _, k := range a.Kids {
-			out = append(out, andConjuncts(k)...)
+			out = append(out, Conjuncts(k)...)
 		}
 		return out
 	}
 	return []Expr{e}
-}
-
-func resolvesInSchema(name string, s relation.Schema) bool {
-	_, err := s.Resolve(name)
-	return err == nil
 }

@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -432,5 +433,50 @@ func TestRelationString(t *testing.T) {
 	s := db.Relation("Student").String()
 	if !strings.Contains(s, "Mary") || !strings.Contains(s, "t1") {
 		t.Errorf("String output missing content: %q", s)
+	}
+}
+
+// TestIntFloatExact: an int and a float compare by exact value, not by the
+// int's float64 rounding, so Equal stays transitive beyond 2^53.
+func TestIntFloatExact(t *testing.T) {
+	const big = 1 << 53
+	cases := []struct {
+		a, b Value
+		cmp  int
+	}{
+		{Int(big), Float(big), 0},
+		{Int(big + 1), Float(big), 1},
+		{Float(big), Int(big + 1), -1},
+		{Int(-3), Float(-2.5), -1},
+		{Int(-2), Float(-2.5), 1},
+		{Int(2), Float(2.5), -1},
+		{Int(0), Float(math.Copysign(0, -1)), 0},
+		{Int(math.MaxInt64), Float(1 << 63), -1},
+		{Int(math.MinInt64), Float(-(1 << 63)), 0},
+		{Int(math.MinInt64), Float(math.Inf(-1)), 1},
+		{Float(math.Inf(1)), Int(math.MaxInt64), 1},
+	}
+	for _, c := range cases {
+		if got, ok := c.a.Compare(c.b); !ok || got != c.cmp {
+			t.Errorf("Compare(%v, %v) = %d, %v; want %d", c.a, c.b, got, ok, c.cmp)
+		}
+		if got := c.a.Equal(c.b); got != (c.cmp == 0) {
+			t.Errorf("Equal(%v, %v) = %v", c.a, c.b, got)
+		}
+		if got := c.a.SortKey(c.b); c.cmp != 0 && got != c.cmp {
+			t.Errorf("SortKey(%v, %v) = %d, want %d", c.a, c.b, got, c.cmp)
+		}
+	}
+	if Int(1).Equal(Float(math.NaN())) || Float(math.NaN()).Equal(Float(math.NaN())) {
+		t.Error("NaN equals something")
+	}
+}
+
+// TestKeyAgreesWithIdentical: Identical tuples have identical keys, −0 and
+// 0 included.
+func TestKeyAgreesWithIdentical(t *testing.T) {
+	a, b := NewTuple(Float(math.Copysign(0, -1))), NewTuple(Float(0))
+	if !a.Identical(b) || a.Key() != b.Key() {
+		t.Errorf("Identical %v, keys %q and %q", a.Identical(b), a.Key(), b.Key())
 	}
 }

@@ -41,7 +41,11 @@ func (t Tuple) Key() string {
 		case KindInt, KindBool:
 			b.WriteString(strconv.FormatInt(v.i, 10))
 		case KindFloat:
-			b.WriteString(strconv.FormatFloat(v.f, 'g', -1, 64))
+			f := v.f
+			if f == 0 {
+				f = 0 // −0 is Identical to 0
+			}
+			b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
 		case KindString:
 			b.WriteString(v.s)
 		}

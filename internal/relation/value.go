@@ -158,16 +158,21 @@ func (v Value) Quote() string {
 }
 
 // Equal reports SQL-style equality: NULL is not equal to anything (including
-// NULL), and numeric values compare across int/float.
+// NULL), and numeric values compare across int/float by exact value (see
+// Compare), so Equal is transitive.
 func (v Value) Equal(o Value) bool {
 	if v.kind == KindNull || o.kind == KindNull {
 		return false
 	}
 	if v.IsNumeric() && o.IsNumeric() {
-		if v.kind == KindInt && o.kind == KindInt {
+		switch {
+		case v.kind == KindInt && o.kind == KindInt:
 			return v.i == o.i
+		case v.kind == KindFloat && o.kind == KindFloat:
+			return v.f == o.f
 		}
-		return v.AsFloat() == o.AsFloat()
+		c, ok := compareNumeric(v, o)
+		return ok && c == 0
 	}
 	if v.kind != o.kind {
 		return false
@@ -187,29 +192,16 @@ func (v Value) Identical(o Value) bool { return v == o }
 
 // Compare orders two values. It returns (cmp, true) where cmp is -1, 0 or 1,
 // or (0, false) when the values are incomparable (NULLs or mixed
-// non-numeric kinds).
+// non-numeric kinds). An int and a float compare by exact value, without
+// rounding the int to float64, so Int(1<<53 + 1) is greater than
+// Float(1<<53).
 func (v Value) Compare(o Value) (int, bool) {
 	if v.kind == KindNull || o.kind == KindNull {
 		return 0, false
 	}
 	if v.IsNumeric() && o.IsNumeric() {
-		if v.kind == KindInt && o.kind == KindInt {
-			switch {
-			case v.i < o.i:
-				return -1, true
-			case v.i > o.i:
-				return 1, true
-			}
-			return 0, true
-		}
-		a, b := v.AsFloat(), o.AsFloat()
-		switch {
-		case a < b:
-			return -1, true
-		case a > b:
-			return 1, true
-		}
-		return 0, true
+		c, _ := compareNumeric(v, o)
+		return c, true
 	}
 	if v.kind != o.kind {
 		return 0, false
@@ -229,22 +221,59 @@ func (v Value) Compare(o Value) (int, bool) {
 	return 0, false
 }
 
+// compareNumeric orders two numeric values by exact value. ok is false when
+// a NaN takes part; cmp is then 0, as Go's float comparisons leave it.
+func compareNumeric(v, o Value) (cmp int, ok bool) {
+	switch {
+	case v.kind == KindInt && o.kind == KindInt:
+		return cmpOrdered(v.i, o.i), true
+	case v.kind == KindFloat && o.kind == KindFloat:
+		return cmpOrdered(v.f, o.f), !math.IsNaN(v.f) && !math.IsNaN(o.f)
+	case v.kind == KindInt:
+		c, ok := compareIntFloat(v.i, o.f)
+		return c, ok
+	}
+	c, ok := compareIntFloat(o.i, v.f)
+	return -c, ok
+}
+
+// compareIntFloat orders an int against a float exactly: the float's
+// integral part is compared as an int64 where it fits, then its fraction.
+func compareIntFloat(i int64, f float64) (int, bool) {
+	switch {
+	case math.IsNaN(f):
+		return 0, false
+	case f < -(1 << 63):
+		return 1, true
+	case f >= 1<<63:
+		return -1, true
+	}
+	t := math.Trunc(f)
+	if c := cmpOrdered(i, int64(t)); c != 0 {
+		return c, true
+	}
+	return cmpOrdered(t, f), true
+}
+
+func cmpOrdered[T int64 | float64](a, b T) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	}
+	return 0
+}
+
 // SortKey orders values deterministically for canonicalization: NULLs first,
-// then by kind, then by payload. Unlike Compare it is a total order.
+// then by kind, then by payload; an int and a float compare by value first
+// (as Compare does) and by kind on a tie. Unlike Compare it is a total order.
 func (v Value) SortKey(o Value) int {
 	if v.kind != o.kind {
 		if v.IsNumeric() && o.IsNumeric() {
-			a, b := v.AsFloat(), o.AsFloat()
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
+			if c, _ := compareNumeric(v, o); c != 0 {
+				return c
 			}
-			if v.kind < o.kind {
-				return -1
-			}
-			return 1
 		}
 		if v.kind < o.kind {
 			return -1
